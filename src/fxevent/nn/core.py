@@ -74,28 +74,14 @@ def clip_global_norm(params: list[Param], max_norm: float) -> float:
     return total
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)), into `out` when given (it may be `x` itself).
 
-
-def sigmoid_prime(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh(x):
-    return np.tanh(x)
-
-
-def tanh_prime(x):
-    t = np.tanh(x)
-    return 1.0 - t * t
+    For x below about -709, exp(-x) overflows to inf and the result is the
+    correct limit 0.0, so the overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        return np.divide(1.0, 1.0 + np.exp(-np.asarray(x, dtype=np.float64)), out=out)
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -185,14 +171,20 @@ def load_params(params: list[Param], fh) -> None:
     """Read values written by save_params back into matching live params, in order."""
     for p in params:
         header = fh.readline().split()
-        if len(header) != 3:
+        if len(header) != 3 or not (header[1].isdigit() and header[2].isdigit()):
             raise ConfigError(f"bad parameter header while loading {p.name}: {header}")
         name, rows, cols = header[0], int(header[1]), int(header[2])
         if name != p.name:
             raise ConfigError(f"parameter order mismatch: file has {name}, model expects {p.name}")
         if rows * cols != p.value.size:
             raise ConfigError(f"{name}: file holds {rows}x{cols}, model expects {p.value.shape}")
-        data = np.array(
-            [[float(v) for v in fh.readline().split()] for _ in range(rows)]
-        )
+        data = np.empty((rows, cols))
+        for r in range(rows):
+            fields = fh.readline().split()
+            if len(fields) != cols:
+                raise ConfigError(f"{name}: row {r} holds {len(fields)} values, expected {cols}")
+            try:
+                data[r] = [float(v) for v in fields]
+            except ValueError:
+                raise ConfigError(f"{name}: non-numeric value in row {r}") from None
         p.value[...] = data.reshape(p.value.shape)

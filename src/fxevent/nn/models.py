@@ -1,14 +1,24 @@
 """Recurrent regression models: RNN, LSTM, BiLSTM and GRU with analytic BPTT.
 
-All layers run batched over (batch, time, features) float64 arrays. The
-concatenated-input formulation of each gate is realized as separate input and
-recurrent weight matrices (x @ W + h_prev @ U + b), which is algebraically the
-same with simpler shapes. The dense head reads the final hidden state of the top
-layer; for bidirectional stacks that is the forward direction's last state
-concatenated with the backward direction's last state.
+Each cell holds one fused set of weights for its G gates: W (D, G*H) on the
+input, U (H, G*H) on the recurrence and b (G*H,). The concatenated-input
+formulation of each gate is realized as x @ W + h_prev @ U + b, which is
+algebraically the same with simpler shapes.
+
+Layers run on time-major (time, batch, features) float64 arrays, so every
+per-step slice is a contiguous view; the model takes and returns batch-major
+windows. A forward pass computes x @ W for all timesteps in one matmul into a
+(T, B, G*H) buffer, and each step adds its h @ U term and turns its slice into
+gate activations in place. The backward pass overwrites that buffer with the
+gate pre-activation gradients, one @ U.T per step for the carry, then
+accumulates the W, U and b gradients and the input gradient with one matmul
+each. The dense head reads the final hidden state of the top layer; for
+bidirectional stacks that is the forward direction's last state concatenated
+with the backward direction's last state.
 
 Gradients here are exact; tests hold them to central finite differences at
-1e-4 max relative error.
+1e-4 max relative error, and the fused cells to the per-gate reference cells
+in tests/oracles.py at 1e-12.
 """
 
 from __future__ import annotations
@@ -87,203 +97,238 @@ def _uniform(rng, fan_in, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class RNNLayer:
-    """h_t = tanh(x_t @ W + h_{t-1} @ U + b)"""
+def _flat(seq):
+    """(T, B, n) -> (T*B, n): time and batch merged, so one matmul covers every step."""
+    return seq.reshape(-1, seq.shape[-1])
+
+
+class _FusedCell:
+    """Weights and the whole-sequence matmuls shared by the recurrent cells.
+
+    Gate g of GATES owns columns g*H:(g+1)*H of W, U and b. A cell's forward
+    maps a time-major (T, B, D) sequence to its (T, B, H) hidden states;
+    backward takes their gradient, accumulates the parameter gradients and
+    returns the input gradient (None when need_dx is false).
+    """
+
+    GATES: tuple[str, ...] = ()
 
     def __init__(self, input_dim, hidden, rng, name):
         self.hidden = hidden
-        self.W = Param(f"{name}.W", _uniform(rng, input_dim, (input_dim, hidden)))
-        self.U = Param(f"{name}.U", _uniform(rng, hidden, (hidden, hidden)))
-        self.b = Param(f"{name}.b", np.zeros(hidden))
+        W, U = [], []
+        for _ in self.GATES:
+            # W_g then U_g per gate: a seed gives the same initial weights as
+            # drawing each gate's matrices separately
+            W.append(_uniform(rng, input_dim, (input_dim, hidden)))
+            U.append(_uniform(rng, hidden, (hidden, hidden)))
+        self.W = Param(f"{name}.W", np.concatenate(W, axis=1))
+        self.U = Param(f"{name}.U", np.concatenate(U, axis=1))
+        self.b = Param(f"{name}.b", self._initial_bias(hidden))
         self._cache = None
+
+    def _initial_bias(self, hidden):
+        return np.zeros(len(self.GATES) * hidden)
 
     def params(self):
         return [self.W, self.U, self.b]
 
-    def forward(self, x):
-        B, T, D = x.shape
+    def _project(self, x):
+        """x @ W + b for every timestep: (T, B, D) -> a new (T, B, G*H) buffer."""
+        T, B, D = x.shape
         if D != self.W.value.shape[0]:
             raise ConfigError(f"{self.W.name}: expected input dim {self.W.value.shape[0]}, got {D}")
-        h = np.zeros((B, self.hidden))
-        hs = np.empty((B, T, self.hidden))
-        for t in range(T):
-            h = np.tanh(x[:, t] @ self.W.value + h @ self.U.value + self.b.value)
-            hs[:, t] = h
+        A = _flat(x) @ self.W.value
+        A += self.b.value
+        return A.reshape(T, B, -1)
+
+    def _take_cache(self):
+        if self._cache is None:
+            raise ConfigError(f"{self.W.name}: backward called without a forward pass")
+        cache, self._cache = self._cache, None
+        return cache
+
+    def _input_grads(self, x, dA, need_dx):
+        """Accumulate W and b gradients from the (T, B, G*H) gate gradients; return dx."""
+        dA = _flat(dA)
+        self.W.grad += _flat(x).T @ dA
+        self.b.grad += dA.sum(axis=0)
+        return (dA @ self.W.value.T).reshape(x.shape) if need_dx else None
+
+
+class RNNLayer(_FusedCell):
+    """h_t = tanh(x_t @ W + h_{t-1} @ U + b)"""
+
+    GATES = ("h",)
+
+    def forward(self, x):
+        hs = self._project(x)  # turned into the hidden states step by step
+        U = self.U.value
+        for t in range(len(hs)):
+            if t:
+                hs[t] += hs[t - 1] @ U
+            np.tanh(hs[t], out=hs[t])
         self._cache = (x, hs)
         return hs
 
-    def backward(self, dh_seq):
-        x, hs = self._cache
-        B, T, _ = x.shape
-        dx = np.empty_like(x)
-        carry = np.zeros((B, self.hidden))
-        for t in range(T - 1, -1, -1):
-            h_t = hs[:, t]
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, self.hidden))
-            da = (dh_seq[:, t] + carry) * (1.0 - h_t * h_t)
-            self.W.grad += x[:, t].T @ da
-            self.U.grad += h_prev.T @ da
-            self.b.grad += da.sum(axis=0)
-            dx[:, t] = da @ self.W.value.T
-            carry = da @ self.U.value.T
-        return dx
+    def backward(self, dh_seq, need_dx=True):
+        x, hs = self._take_cache()
+        dA = hs * hs
+        np.subtract(1.0, dA, out=dA)  # tanh', scaled in place into the pre-activation gradient
+        U_T = self.U.value.T
+        dh = dh_seq[-1]
+        for t in range(len(hs) - 1, -1, -1):
+            dA[t] *= dh
+            if t:
+                dh = dh_seq[t - 1] + dA[t] @ U_T
+        self.U.grad += _flat(hs[:-1]).T @ _flat(dA[1:])
+        return self._input_grads(x, dA, need_dx)
 
 
-class LSTMLayer:
-    """Gated cell: f, i, o sigmoid gates, tanh candidate, additive cell state."""
+class LSTMLayer(_FusedCell):
+    """Gated cell: f, i, o sigmoid gates, tanh candidate c, additive cell state."""
 
     GATES = ("f", "i", "c", "o")
 
-    def __init__(self, input_dim, hidden, rng, name):
-        self.hidden = hidden
-        self.W, self.U, self.b = {}, {}, {}
-        for g in self.GATES:
-            self.W[g] = Param(f"{name}.W{g}", _uniform(rng, input_dim, (input_dim, hidden)))
-            self.U[g] = Param(f"{name}.U{g}", _uniform(rng, hidden, (hidden, hidden)))
-            # forget-gate bias starts open so early training can retain state
-            self.b[g] = Param(f"{name}.b{g}", np.full(hidden, 1.0 if g == "f" else 0.0))
-        self._cache = None
-
-    def params(self):
-        out = []
-        for g in self.GATES:
-            out += [self.W[g], self.U[g], self.b[g]]
-        return out
-
-    def step(self, x_t, h_prev, c_prev):
-        """Single timestep; returns (h, C) plus the gate activations for BPTT."""
-        pre = {
-            g: x_t @ self.W[g].value + h_prev @ self.U[g].value + self.b[g].value
-            for g in self.GATES
-        }
-        f = sigmoid(pre["f"])
-        i = sigmoid(pre["i"])
-        o = sigmoid(pre["o"])
-        c_bar = np.tanh(pre["c"])
-        C = f * c_prev + i * c_bar
-        tC = np.tanh(C)
-        h = o * tC
-        return h, C, (f, i, o, c_bar, tC)
+    def _initial_bias(self, hidden):
+        b = np.zeros(4 * hidden)
+        b[:hidden] = 1.0  # forget gate starts open so early training can retain state
+        return b
 
     def forward(self, x):
-        B, T, D = x.shape
-        if D != self.W["f"].value.shape[0]:
-            raise ConfigError(
-                f"{self.W['f'].name}: expected input dim {self.W['f'].value.shape[0]}, got {D}"
-            )
-        h = np.zeros((B, self.hidden))
-        C = np.zeros((B, self.hidden))
-        hs = np.empty((B, T, self.hidden))
-        cells = []
+        A = self._project(x)  # pre-activations, then activations [f, i, c, o] in place
+        T, B, _ = A.shape
+        H = self.hidden
+        U = self.U.value
+        Cs = np.empty((T, B, H))
+        hs = np.empty((T, B, H))
         for t in range(T):
-            h, C, gates = self.step(x[:, t], h, C)
-            hs[:, t] = h
-            cells.append((C, gates))
-        self._cache = (x, hs, cells)
+            a = A[t]
+            if t:
+                a += hs[t - 1] @ U
+            f, i, c, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+            # one sigmoid over the contiguous row is cheaper than one per column
+            # block, so the candidate's tanh is parked in Cs[t] and put back
+            np.tanh(c, out=Cs[t])
+            sigmoid(a, out=a)
+            c[...] = Cs[t]
+            Cs[t] *= i
+            if t:
+                Cs[t] += f * Cs[t - 1]
+            np.tanh(Cs[t], out=hs[t])
+            hs[t] *= o
+        self._cache = (x, A, Cs, hs)
         return hs
 
-    def backward(self, dh_seq):
-        x, hs, cells = self._cache
-        B, T, _ = x.shape
+    def backward(self, dh_seq, need_dx=True):
+        x, A, Cs, hs = self._take_cache()
+        T, B, _ = A.shape
         H = self.hidden
-        dx = np.empty_like(x)
-        dh_carry = np.zeros((B, H))
-        dC_carry = np.zeros((B, H))
+        f, i, c, o = (A[..., k * H : (k + 1) * H] for k in range(4))
+        # The factors that do not depend on the carried gradients are formed for
+        # all steps at once, in place over the activations: gate gradient =
+        # factor * dC_t for f, i and c, and factor * dh_t for o. Cs is dead once
+        # read, so it holds tanh(C) and then the c factor.
+        F = f.copy()  # dC_{t-1} = dC_t * f_t
+        np.subtract(1.0, f, out=f)
+        f *= F
+        f[1:] *= Cs[:-1]
+        f[0] = 0.0  # f (1 - f) C_{t-1}, with C_{-1} = 0
+        tC = np.tanh(Cs, out=Cs)  # recomputed rather than cached, to keep the cache small
+        dC_dh = tC * tC
+        np.subtract(1.0, dC_dh, out=dC_dh)
+        dC_dh *= o  # dC_t += dh_t * o (1 - tanh(C)^2)
+        tC *= o
+        np.subtract(1.0, o, out=o)
+        o *= tC  # o (1 - o) tanh(C)
+        np.multiply(c, c, out=Cs)
+        np.subtract(1.0, Cs, out=Cs)
+        Cs *= i  # i (1 - c^2)
+        c *= i
+        np.subtract(1.0, i, out=i)
+        i *= c  # i (1 - i) c
+        c[...] = Cs
+        A4 = A.reshape(T, B, 4, H)
+        U_T = self.U.value.T
+        dh = dh_seq[-1]
+        dC_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            C_t, (f, i, o, c_bar, tC) = cells[t]
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-            C_prev = cells[t - 1][0] if t > 0 else np.zeros((B, H))
-            dh = dh_seq[:, t] + dh_carry
-            da_o = dh * tC * o * (1.0 - o)
-            dC = dC_carry + dh * o * (1.0 - tC * tC)
-            da_f = dC * C_prev * f * (1.0 - f)
-            da_i = dC * c_bar * i * (1.0 - i)
-            da_c = dC * i * (1.0 - c_bar * c_bar)
-            dC_carry = dC * f
-            dh_carry = np.zeros((B, H))
-            dx_t = np.zeros_like(x[:, t])
-            for g, da in (("f", da_f), ("i", da_i), ("c", da_c), ("o", da_o)):
-                self.W[g].grad += x[:, t].T @ da
-                self.U[g].grad += h_prev.T @ da
-                self.b[g].grad += da.sum(axis=0)
-                dx_t += da @ self.W[g].value.T
-                dh_carry += da @ self.U[g].value.T
-            dx[:, t] = dx_t
-        return dx
+            dC = dh * dC_dh[t]
+            dC += dC_next
+            A4[t, :, :3] *= dC[:, None]
+            A4[t, :, 3] *= dh
+            if t:
+                dC_next = dC * F[t]
+                dh = dh_seq[t - 1] + A[t] @ U_T
+        self.U.grad += _flat(hs[:-1]).T @ _flat(A[1:])
+        return self._input_grads(x, A, need_dx)
 
 
-class GRULayer:
+class GRULayer(_FusedCell):
     """Reset/update gated cell; the carry term uses h_{t-1} (standard recurrence)."""
 
     GATES = ("r", "z", "h")
 
-    def __init__(self, input_dim, hidden, rng, name):
-        self.hidden = hidden
-        self.W, self.U, self.b = {}, {}, {}
-        for g in self.GATES:
-            self.W[g] = Param(f"{name}.W{g}", _uniform(rng, input_dim, (input_dim, hidden)))
-            self.U[g] = Param(f"{name}.U{g}", _uniform(rng, hidden, (hidden, hidden)))
-            self.b[g] = Param(f"{name}.b{g}", np.zeros(hidden))
-        self._cache = None
-
-    def params(self):
-        out = []
-        for g in self.GATES:
-            out += [self.W[g], self.U[g], self.b[g]]
-        return out
-
-    def step(self, x_t, h_prev):
-        r = sigmoid(x_t @ self.W["r"].value + h_prev @ self.U["r"].value + self.b["r"].value)
-        z = sigmoid(x_t @ self.W["z"].value + h_prev @ self.U["z"].value + self.b["z"].value)
-        rh = r * h_prev
-        h_bar = np.tanh(x_t @ self.W["h"].value + rh @ self.U["h"].value + self.b["h"].value)
-        h = (1.0 - z) * h_prev + z * h_bar
-        return h, (r, z, rh, h_bar)
-
     def forward(self, x):
-        B, T, D = x.shape
-        if D != self.W["r"].value.shape[0]:
-            raise ConfigError(
-                f"{self.W['r'].name}: expected input dim {self.W['r'].value.shape[0]}, got {D}"
-            )
-        h = np.zeros((B, self.hidden))
-        hs = np.empty((B, T, self.hidden))
-        gates = []
+        A = self._project(x)  # pre-activations, then activations [r, z, h_bar] in place
+        T, B, _ = A.shape
+        H = self.hidden
+        U_rz, U_h = self.U.value[:, : 2 * H], self.U.value[:, 2 * H :]
+        hs = np.empty((T, B, H))
+        rhs = np.empty((T, B, H))  # r * h_{t-1}, the input of U_h
+        h = np.zeros((B, H))
         for t in range(T):
-            h, g = self.step(x[:, t], h)
-            hs[:, t] = h
-            gates.append(g)
-        self._cache = (x, hs, gates)
+            a = A[t]
+            rz, z, h_bar = a[:, : 2 * H], a[:, H : 2 * H], a[:, 2 * H :]
+            if t:
+                rz += h @ U_rz
+            sigmoid(rz, out=rz)
+            np.multiply(a[:, :H], h, out=rhs[t])
+            if t:
+                h_bar += rhs[t] @ U_h
+            np.tanh(h_bar, out=h_bar)
+            np.multiply(1.0 - z, h, out=hs[t])
+            hs[t] += z * h_bar
+            h = hs[t]
+        self._cache = (x, A, rhs, hs)
         return hs
 
-    def backward(self, dh_seq):
-        x, hs, gates = self._cache
-        B, T, _ = x.shape
+    def backward(self, dh_seq, need_dx=True):
+        x, A, rhs, hs = self._take_cache()
+        T, B, _ = A.shape
         H = self.hidden
-        dx = np.empty_like(x)
-        carry = np.zeros((B, H))
+        r, z, h_bar = (A[..., k * H : (k + 1) * H] for k in range(3))
+        # Carry-independent factors for all steps, in place over the activations:
+        # the z and h_bar gradients are factor * dh_t, the r gradient factor * drh_t.
+        R = r.copy()
+        dprev_dh = 1.0 - z
+        h_factor = h_bar * h_bar
+        np.subtract(1.0, h_factor, out=h_factor)
+        h_factor *= z  # z (1 - h_bar^2)
+        np.subtract(h_bar[1:], hs[:-1], out=h_bar[1:])  # h_bar - h_{t-1}, with h_{-1} = 0
+        h_bar *= z
+        np.subtract(1.0, z, out=z)
+        z *= h_bar  # z (1 - z) (h_bar - h_{t-1})
+        h_bar[...] = h_factor
+        np.subtract(1.0, r, out=r)
+        r *= R
+        r[1:] *= hs[:-1]
+        r[0] = 0.0  # r (1 - r) h_{t-1}
+        A3 = A.reshape(T, B, 3, H)
+        U_rz_T = self.U.value[:, : 2 * H].T
+        U_h_T = self.U.value[:, 2 * H :].T
+        dh = dh_seq[-1]
         for t in range(T - 1, -1, -1):
-            r, z, rh, h_bar = gates[t]
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((B, H))
-            dh = dh_seq[:, t] + carry
-            da_z = dh * (h_bar - h_prev) * z * (1.0 - z)
-            da_h = dh * z * (1.0 - h_bar * h_bar)
-            dh_prev = dh * (1.0 - z)
-            drh = da_h @ self.U["h"].value.T
-            da_r = drh * h_prev * r * (1.0 - r)
-            dh_prev += drh * r
-            dh_prev += da_r @ self.U["r"].value.T + da_z @ self.U["z"].value.T
-            dx[:, t] = (
-                da_r @ self.W["r"].value.T
-                + da_z @ self.W["z"].value.T
-                + da_h @ self.W["h"].value.T
-            )
-            for g, da, rec_in in (("r", da_r, h_prev), ("z", da_z, h_prev), ("h", da_h, rh)):
-                self.W[g].grad += x[:, t].T @ da
-                self.U[g].grad += rec_in.T @ da
-                self.b[g].grad += da.sum(axis=0)
-            carry = dh_prev
-        return dx
+            A3[t, :, 1:] *= dh[:, None]
+            drh = A[t, :, 2 * H :] @ U_h_T
+            A[t, :, :H] *= drh
+            if t:
+                dh_prev = dh * dprev_dh[t]
+                dh_prev += drh * R[t]
+                dh_prev += A[t, :, : 2 * H] @ U_rz_T
+                dh = dh_seq[t - 1] + dh_prev
+        self.U.grad[:, : 2 * H] += _flat(hs[:-1]).T @ _flat(A[1:, :, : 2 * H])
+        self.U.grad[:, 2 * H :] += _flat(rhs).T @ _flat(A[:, :, 2 * H :])
+        return self._input_grads(x, A, need_dx)
 
 
 class BidirectionalLayer:
@@ -300,14 +345,14 @@ class BidirectionalLayer:
 
     def forward(self, x):
         out_f = self.fwd.forward(x)
-        out_b = self.bwd.forward(x[:, ::-1])[:, ::-1]
+        out_b = self.bwd.forward(np.ascontiguousarray(x[::-1]))[::-1]
         return np.concatenate([out_f, out_b], axis=2)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         H = self.hidden
-        dx_f = self.fwd.backward(np.ascontiguousarray(dout[:, :, :H]))
-        dx_b = self.bwd.backward(np.ascontiguousarray(dout[:, ::-1, H:]))[:, ::-1]
-        return dx_f + dx_b
+        dx_f = self.fwd.backward(dout[:, :, :H], need_dx)
+        dx_b = self.bwd.backward(dout[::-1, :, H:], need_dx)
+        return dx_f + dx_b[::-1] if need_dx else None
 
 
 _CELLS = {"rnn": RNNLayer, "lstm": LSTMLayer, "gru": GRULayer}
@@ -348,15 +393,15 @@ class RecurrentModel:
                 f"expected windows of shape (*, {self.config.n_timesteps}, "
                 f"{self.config.input_dim}), got {X.shape}"
             )
-        seq = X
+        seq = np.ascontiguousarray(X.transpose(1, 0, 2))
         for layer in self.layers:
             seq = layer.forward(seq)
         self._top_shape = seq.shape
         if self.config.bidirectional:
             H = self.config.hidden
-            head_in = np.concatenate([seq[:, -1, :H], seq[:, 0, H:]], axis=1)
+            head_in = np.concatenate([seq[-1, :, :H], seq[0, :, H:]], axis=1)
         else:
-            head_in = seq[:, -1]
+            head_in = seq[-1]
         return self.head.forward(head_in)[:, 0]
 
     def backward_batch(self, dpred: np.ndarray) -> None:
@@ -365,12 +410,13 @@ class RecurrentModel:
         dseq = np.zeros(self._top_shape)
         if self.config.bidirectional:
             H = self.config.hidden
-            dseq[:, -1, :H] = dhead_in[:, :H]
-            dseq[:, 0, H:] = dhead_in[:, H:]
+            dseq[-1, :, :H] = dhead_in[:, :H]
+            dseq[0, :, H:] = dhead_in[:, H:]
         else:
-            dseq[:, -1] = dhead_in
-        for layer in reversed(self.layers):
-            dseq = layer.backward(dseq)
+            dseq[-1] = dhead_in
+        for depth in range(len(self.layers) - 1, -1, -1):
+            # the bottom layer's input gradient would only be thrown away
+            dseq = self.layers[depth].backward(dseq, need_dx=depth > 0)
 
     def forward(self, window: np.ndarray) -> float:
         """Single window -> scalar prediction."""
@@ -491,8 +537,14 @@ def predict(model: RecurrentModel, ds: Dataset, stats: NormStats) -> np.ndarray:
     return invert_target(model.forward_batch(ds.windows()), stats)
 
 
+_MODEL_MAGIC = "fxevent-model v2"
+
+
 def save_model(model: RecurrentModel, path) -> None:
-    """Text format: a config/fingerprint header followed by the parameter blocks."""
+    """Text format: a config/fingerprint header followed by the parameter blocks.
+
+    v2 files hold three fused blocks per cell (W, U, b); v1 held one block per gate.
+    """
     cfg = model.config
     header = {
         "kind": cfg.kind,
@@ -503,7 +555,7 @@ def save_model(model: RecurrentModel, path) -> None:
         "seed": cfg.seed,
     }
     with open(path, "w") as fh:
-        fh.write("fxevent-model v1\n")
+        fh.write(_MODEL_MAGIC + "\n")
         fh.write("config " + json.dumps(header, sort_keys=True) + "\n")
         fh.write(f"stats_fingerprint {model.stats_fingerprint or '-'}\n")
         params = model.params()
@@ -512,21 +564,37 @@ def save_model(model: RecurrentModel, path) -> None:
 
 
 def load_model(path) -> RecurrentModel:
+    """Read a file written by save_model; any malformed line raises ConfigError naming the file."""
     with open(path) as fh:
         magic = fh.readline().strip()
-        if magic != "fxevent-model v1":
+        if magic == "fxevent-model v1":
+            raise ConfigError(
+                f"{path}: fxevent-model v1 files hold per-gate weights, which this version "
+                "does not read; retrain to write a v2 model"
+            )
+        if magic != _MODEL_MAGIC:
             raise ConfigError(f"{path}: not a model file (header {magic!r})")
         cfg_line = fh.readline().strip()
         if not cfg_line.startswith("config "):
             raise ConfigError(f"{path}: missing config line")
-        cfg = json.loads(cfg_line[len("config ") :])
+        try:
+            config = ModelConfig(**json.loads(cfg_line[len("config ") :]))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}: bad config line: {exc}") from None
         fp_line = fh.readline().split()
-        n_line = fh.readline().split()
-        model = RecurrentModel(ModelConfig(**cfg))
+        if len(fp_line) != 2 or fp_line[0] != "stats_fingerprint":
+            raise ConfigError(f"{path}: malformed stats_fingerprint line {' '.join(fp_line)!r}")
+        model = RecurrentModel(config)
         params = model.params()
-        if len(n_line) != 2 or int(n_line[1]) != len(params):
-            raise ConfigError(f"{path}: parameter count mismatch")
-        load_params(params, fh)
+        n_line = fh.readline().split()
+        if n_line != ["params", str(len(params))]:
+            raise ConfigError(
+                f"{path}: expected 'params {len(params)}', got {' '.join(n_line)!r}"
+            )
+        try:
+            load_params(params, fh)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if fp_line[1] != "-":
             model.stats_fingerprint = fp_line[1]
     return model

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import oracles
 from fxevent.dataset import Dataset, NormStats, Sample, apply_norm, fit_normalizer, invert_target
 from fxevent.errors import ConfigError
 from fxevent.nn.core import grad_check, sigmoid, zero_grads
@@ -26,95 +29,120 @@ def zero_layer(layer):
     return layer
 
 
+def gate(param, k, H):
+    """Gate k's slice of a fused W, U or b: columns k*H:(k+1)*H."""
+    return param.value[..., k * H : (k + 1) * H]
+
+
+def hand_lstm(layer, x):
+    """Step-by-step LSTM over time-major x from zero state, one matmul per gate."""
+    H = layer.hidden
+    h = np.zeros((x.shape[1], H))
+    C = np.zeros((x.shape[1], H))
+    outs = []
+    for x_t in x:
+        pre = [
+            x_t @ gate(layer.W, k, H) + h @ gate(layer.U, k, H) + gate(layer.b, k, H)
+            for k in range(4)
+        ]
+        f, i, c_bar, o = sigmoid(pre[0]), sigmoid(pre[1]), np.tanh(pre[2]), sigmoid(pre[3])
+        C = f * C + i * c_bar
+        h = o * np.tanh(C)
+        outs.append(h)
+    return np.stack(outs)
+
+
 class TestRNNCell:
     def test_zero_weights_give_zero_states(self, rng):
         layer = zero_layer(RNNLayer(3, 4, rng, "l"))
-        out = layer.forward(rng.normal(size=(2, 6, 3)))
+        out = layer.forward(rng.normal(size=(6, 2, 3)))
         assert np.all(out == 0)
 
     def test_memoryless_when_recurrent_weights_zero(self, rng):
         layer = RNNLayer(3, 4, rng, "l")
         layer.U.value[...] = 0.0
-        x = rng.normal(size=(1, 5, 3))
+        x = rng.normal(size=(5, 1, 3))
         out = layer.forward(x)
         # each step then depends only on its own input
         for t in range(5):
-            expected = np.tanh(x[:, t] @ layer.W.value + layer.b.value)
-            assert np.allclose(out[:, t], expected, atol=1e-15)
+            expected = np.tanh(x[t] @ layer.W.value + layer.b.value)
+            assert np.allclose(out[t], expected, atol=1e-15)
 
     def test_hand_unrolled_three_steps(self, rng):
         layer = RNNLayer(2, 2, rng, "l")
-        x = rng.normal(size=(1, 3, 2))
+        x = rng.normal(size=(3, 1, 2))
         out = layer.forward(x)
         h = np.zeros((1, 2))
         for t in range(3):
-            h = np.tanh(x[:, t] @ layer.W.value + h @ layer.U.value + layer.b.value)
-            assert np.max(np.abs(out[:, t] - h)) < 1e-12
+            h = np.tanh(x[t] @ layer.W.value + h @ layer.U.value + layer.b.value)
+            assert np.max(np.abs(out[t] - h)) < 1e-12
 
 
 class TestLSTMCell:
     def test_zero_weights_fixed_point(self, rng):
         layer = zero_layer(LSTMLayer(3, 4, rng, "l"))
-        out = layer.forward(rng.normal(size=(2, 5, 3)))
+        out = layer.forward(rng.normal(size=(5, 2, 3)))
         assert np.all(out == 0)  # f=i=o=0.5 but c_bar=0 keeps C and h at zero
 
     def test_saturated_gates_retain_cell_state(self, rng):
         layer = zero_layer(LSTMLayer(3, 4, rng, "l"))
-        layer.b["f"].value[...] = 60.0  # f ~= 1
-        layer.b["i"].value[...] = -60.0  # i ~= 0
-        c0 = rng.normal(size=(1, 4))
-        _, c1, _ = layer.step(rng.normal(size=(1, 3)), np.zeros((1, 4)), c0)
-        assert np.max(np.abs(c1 - c0)) < 1e-12
+        H = 4
+        gate(layer.b, 0, H)[...] = 60.0  # f ~= 1
+        gate(layer.W, 1, H)[0] = 120.0  # i ~= 1 while x[..., 0] = 1, i ~= 0 while it is -1
+        gate(layer.b, 2, H)[...] = 0.7  # c_bar = tanh(0.7)
+        x = np.full((5, 1, 3), -1.0)
+        x[0, 0, 0] = 1.0  # write the cell state once, then hold it
+        out = layer.forward(x)
+        assert np.max(np.abs(out[0] - 0.5 * np.tanh(np.tanh(0.7)))) < 1e-12
+        assert np.max(np.abs(out - out[0])) < 1e-12
 
     def test_single_step_matches_hand_computation(self, rng):
         layer = LSTMLayer(2, 2, rng, "l")
         for p in layer.params():
             p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
-        x = rng.normal(size=(1, 2))
-        h_prev = rng.normal(size=(1, 2))
-        c_prev = rng.normal(size=(1, 2))
-        h, C, _ = layer.step(x, h_prev, c_prev)
-        f = sigmoid(x @ layer.W["f"].value + h_prev @ layer.U["f"].value + layer.b["f"].value)
-        i = sigmoid(x @ layer.W["i"].value + h_prev @ layer.U["i"].value + layer.b["i"].value)
-        o = sigmoid(x @ layer.W["o"].value + h_prev @ layer.U["o"].value + layer.b["o"].value)
-        c_bar = np.tanh(x @ layer.W["c"].value + h_prev @ layer.U["c"].value + layer.b["c"].value)
-        C_exp = f * c_prev + i * c_bar
-        assert np.max(np.abs(C - C_exp)) < 1e-12
-        assert np.max(np.abs(h - o * np.tanh(C_exp))) < 1e-12
+        x = rng.normal(size=(2, 1, 2))  # the second step starts from a nonzero h and C
+        out = layer.forward(x)
+        assert np.max(np.abs(out - hand_lstm(layer, x))) < 1e-12
 
     def test_forget_bias_initialized_open(self, rng):
         layer = LSTMLayer(3, 4, rng, "l")
-        assert np.all(layer.b["f"].value == 1.0)
-        assert np.all(layer.b["i"].value == 0.0)
+        assert np.all(gate(layer.b, 0, 4) == 1.0)
+        assert np.all(layer.b.value[4:] == 0.0)
 
 
 class TestGRUCell:
     def test_zero_weights_fixed_point(self, rng):
         layer = zero_layer(GRULayer(3, 4, rng, "l"))
-        out = layer.forward(rng.normal(size=(2, 5, 3)))
+        out = layer.forward(rng.normal(size=(5, 2, 3)))
         assert np.all(out == 0)
 
     def test_update_gate_closed_carries_state(self, rng):
         layer = zero_layer(GRULayer(3, 4, rng, "l"))
-        layer.b["z"].value[...] = -60.0  # z ~= 0 -> pure carry
-        h_prev = rng.normal(size=(1, 4))
-        h, _ = layer.step(rng.normal(size=(1, 3)), h_prev)
-        assert np.max(np.abs(h - h_prev)) < 1e-12
+        H = 4
+        gate(layer.W, 1, H)[0] = 120.0  # z ~= 1 while x[..., 0] = 1, z ~= 0 (pure carry) while -1
+        gate(layer.b, 2, H)[...] = 0.7  # h_bar = tanh(0.7)
+        x = np.full((5, 1, 3), -1.0)
+        x[0, 0, 0] = 1.0
+        out = layer.forward(x)
+        assert np.max(np.abs(out[0] - np.tanh(0.7))) < 1e-12
+        assert np.max(np.abs(out - out[0])) < 1e-12
 
     def test_single_step_matches_hand_computation(self, rng):
         layer = GRULayer(2, 2, rng, "l")
         for p in layer.params():
             p.value[...] = rng.normal(scale=0.1, size=p.value.shape)
-        x = rng.normal(size=(1, 2))
-        h_prev = rng.normal(size=(1, 2))
-        h, _ = layer.step(x, h_prev)
-        r = sigmoid(x @ layer.W["r"].value + h_prev @ layer.U["r"].value + layer.b["r"].value)
-        z = sigmoid(x @ layer.W["z"].value + h_prev @ layer.U["z"].value + layer.b["z"].value)
-        h_bar = np.tanh(
-            x @ layer.W["h"].value + (r * h_prev) @ layer.U["h"].value + layer.b["h"].value
-        )
-        expected = (1.0 - z) * h_prev + z * h_bar
-        assert np.max(np.abs(h - expected)) < 1e-12
+        H = 2
+        x = rng.normal(size=(2, 1, 2))  # the second step starts from a nonzero h
+        out = layer.forward(x)
+        h_prev = np.zeros((1, H))
+        for t in range(2):
+            r = sigmoid(x[t] @ gate(layer.W, 0, H) + h_prev @ gate(layer.U, 0, H) + gate(layer.b, 0, H))
+            z = sigmoid(x[t] @ gate(layer.W, 1, H) + h_prev @ gate(layer.U, 1, H) + gate(layer.b, 1, H))
+            h_bar = np.tanh(
+                x[t] @ gate(layer.W, 2, H) + (r * h_prev) @ gate(layer.U, 2, H) + gate(layer.b, 2, H)
+            )
+            h_prev = (1.0 - z) * h_prev + z * h_bar
+            assert np.max(np.abs(out[t] - h_prev)) < 1e-12
 
 
 class TestModelForward:
@@ -139,17 +167,10 @@ class TestModelForward:
         window = rng.normal(size=(5, 4))
         got = model.forward(window)
 
-        x = window[None]
+        x = window[:, None]  # time-major, batch of one
         for layer in model.layers:
-            B, T, _ = x.shape
-            h = np.zeros((1, 3))
-            C = np.zeros((1, 3))
-            outs = []
-            for t in range(T):
-                h, C, _ = layer.step(x[:, t], h, C)
-                outs.append(h)
-            x = np.stack(outs, axis=1)
-        manual = float((x[:, -1] @ model.head.W.value + model.head.b.value)[0, 0])
+            x = hand_lstm(layer, x)
+        manual = float((x[-1] @ model.head.W.value + model.head.b.value)[0, 0])
         assert got == pytest.approx(manual, abs=1e-12)
 
     def test_batch_decomposition_invariance(self, rng):
@@ -166,12 +187,14 @@ class TestModelForward:
         cfg = ModelConfig(kind="lstm", n_timesteps=8, input_dim=4, layers=1, hidden=6, seed=5)
         model = RecurrentModel(cfg)
         model.forward_batch(rng.normal(size=(3, 8, 4)))
-        _, _, cells = model.layers[0]._cache
-        for _, (f, i, o, c_bar, tC) in cells:
-            for gate in (f, i, o):
-                assert np.all((gate > 0) & (gate < 1))
-            assert np.all((c_bar > -1) & (c_bar < 1))
-            assert np.all((tC > -1) & (tC < 1))
+        _, A, C, _ = model.layers[0]._cache
+        H = 6
+        for gate_act in (A[..., : 2 * H], A[..., 3 * H :]):  # f, i and o
+            assert np.all((gate_act > 0) & (gate_act < 1))
+        c_bar = A[..., 2 * H : 3 * H]
+        assert np.all((c_bar > -1) & (c_bar < 1))
+        tC = np.tanh(C)
+        assert np.all((tC > -1) & (tC < 1))
 
     def test_shape_validation(self, rng):
         cfg = ModelConfig(kind="rnn", n_timesteps=4, input_dim=3, layers=1, hidden=2, seed=1)
@@ -186,7 +209,7 @@ class TestBidirectionalIdentities:
         bidi = BidirectionalLayer(LSTMLayer(3, 4, rng, "f"), LSTMLayer(3, 4, rng, "b"))
         for src, dst in zip(plain.params(), bidi.fwd.params()):
             dst.value[...] = src.value
-        x = rng.normal(size=(2, 6, 3))
+        x = rng.normal(size=(6, 2, 3))
         out = bidi.forward(x)
         assert np.max(np.abs(out[:, :, :4] - plain.forward(x))) < 1e-15
 
@@ -195,9 +218,9 @@ class TestBidirectionalIdentities:
         bidi = BidirectionalLayer(LSTMLayer(3, 4, rng, "f"), LSTMLayer(3, 4, rng, "b"))
         for src, dst in zip(plain.params(), bidi.bwd.params()):
             dst.value[...] = src.value
-        x = rng.normal(size=(2, 6, 3))
+        x = rng.normal(size=(6, 2, 3))
         out = bidi.forward(x)
-        reversed_out = plain.forward(x[:, ::-1])[:, ::-1]
+        reversed_out = plain.forward(x[::-1])[::-1]
         assert np.max(np.abs(out[:, :, 4:] - reversed_out)) < 1e-15
 
 
@@ -234,7 +257,7 @@ class TestModelBackward:
 
         def corrupted_backward():
             backward_fn()
-            model.layers[0].U["o"].grad[...] = 0.0  # drop the output gate's recurrent term
+            model.layers[0].U.grad[:, 3 * 4 :] = 0.0  # drop the output gate's recurrent term
 
         assert grad_check(loss_fn, corrupted_backward, model.params(), h=1e-5) > 1e-2
 
@@ -263,6 +286,47 @@ class TestModelBackward:
         model.backward_batch(2.0 * dpred)
         for p, g in zip(model.params(), single):
             assert np.max(np.abs(p.grad - 2.0 * g)) < 1e-12
+
+
+def cells(model):
+    """The model's recurrent cells in parameter order (both directions for bilstm)."""
+    out = []
+    for layer in model.layers:
+        out += [layer.fwd, layer.bwd] if hasattr(layer, "fwd") else [layer]
+    return out
+
+
+def stacked(per_gate_cell, name, field):
+    """A per-gate cell's W, U or b blocks side by side, in gate order."""
+    parts = getattr(per_gate_cell, name)
+    return np.concatenate([getattr(parts[g], field) for g in per_gate_cell.GATES], axis=-1)
+
+
+class TestFusedMatchesPerGate:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "bilstm", "gru"])
+    def test_forward_and_gradients(self, kind, batch):
+        cfg = ModelConfig(kind=kind, n_timesteps=7, input_dim=5, layers=2, hidden=4, seed=13)
+        fused, ref = RecurrentModel(cfg), oracles.PerGateModel(cfg)
+        assert all(len(c.params()) == 3 for c in cells(fused))
+        # the same draws in the same order: the fused weights are the per-gate ones side by side
+        for f_cell, r_cell in zip(cells(fused), cells(ref), strict=True):
+            for name in "WUb":
+                assert np.array_equal(getattr(f_cell, name).value, stacked(r_cell, name, "value"))
+        data = np.random.default_rng(batch)
+        X = data.normal(size=(batch, 7, 5))
+        dpred = data.normal(size=batch)
+        zero_grads(fused.params())
+        zero_grads(ref.params())
+        assert np.max(np.abs(fused.forward_batch(X) - ref.forward_batch(X))) <= 1e-12
+        fused.backward_batch(dpred)
+        ref.backward_batch(dpred)
+        for f_cell, r_cell in zip(cells(fused), cells(ref)):
+            for name in "WUb":
+                diff = getattr(f_cell, name).grad - stacked(r_cell, name, "grad")
+                assert np.max(np.abs(diff)) <= 1e-12, f"{f_cell.W.name} d{name}"
+        for f_p, r_p in zip(fused.head.params(), ref.head.params()):
+            assert np.max(np.abs(f_p.grad - r_p.grad)) <= 1e-12
 
 
 def make_dataset(rng, n_samples, n=6, feat=5, target_fn=None):
@@ -388,4 +452,30 @@ class TestSaveLoad:
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
         with pytest.raises(ConfigError):
+            load_model(path)
+
+    def test_v1_file_rejected_with_retrain_hint(self, tmp_path):
+        path = tmp_path / "old.model.txt"
+        path.write_text("fxevent-model v1\nconfig {}\n")
+        with pytest.raises(ConfigError, match=r"old\.model\.txt: fxevent-model v1 .*retrain"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [
+            (2, "stats_fingerprint"),  # fingerprint value missing
+            (3, "params two"),  # non-integer parameter count
+            (5, "0.5 0.25"),  # ragged row: W has 4 columns
+            (5, "0.5 0.25 x 1"),  # non-numeric value
+            (1, "config {not json"),
+        ],
+    )
+    def test_malformed_file_names_path(self, tmp_path, line, replacement):
+        cfg = ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=4, seed=0)
+        path = tmp_path / "m.model.txt"
+        save_model(RecurrentModel(cfg), path)
+        lines = path.read_text().splitlines()
+        lines[line] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_model(path)
