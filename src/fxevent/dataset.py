@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvio import format_rows
 from .errors import ConfigError
 from .events import EventSequence
 from .indicators import FeatureMatrix
@@ -178,46 +180,65 @@ def save_dataset(ds: Dataset, prefix) -> None:
     n_feat = ds.samples[0].window.shape[1] if ds.samples else 0
     names = list(ds.feature_names) if ds.feature_names else [f"f{j}" for j in range(n_feat)]
     with open(f"{prefix}_windows.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "timestep", *names])
+        csv.writer(fh).writerow(["sample_id", "timestep", *names])
         for sid, s in enumerate(ds.samples):
-            for t in range(ds.n_timesteps):
-                writer.writerow([sid, t, *[repr(float(v)) for v in s.window[t]]])
+            fh.write(format_rows((f"{sid},{t}" for t in range(ds.n_timesteps)), s.window))
     with open(f"{prefix}_targets.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "e2_ts", "e3_ts", "target"])
-        for sid, s in enumerate(ds.samples):
-            writer.writerow([sid, s.e2_ts, s.e3_ts, repr(float(s.target))])
+        csv.writer(fh).writerow(["sample_id", "e2_ts", "e3_ts", "target"])
+        keys = (f"{sid},{s.e2_ts},{s.e3_ts}" for sid, s in enumerate(ds.samples))
+        fh.write(format_rows(keys, np.reshape([s.target for s in ds.samples], (-1, 1))))
 
 
 def load_dataset(prefix, role: str = "train") -> Dataset:
     """Read the CSV pair written by save_dataset.
 
-    Source-series bar indices are not part of the wire format, so reloaded samples
-    carry e2_index = e3_index = -1.
+    Rows may come in any order; each sample's rows are ordered by timestep.
+    Every sample needs the same number of rows and a row in the targets file,
+    every row the same number of fields, and every value must be finite; a
+    file that breaks this raises ConfigError naming it. Source-series bar
+    indices are not part of the wire format, so reloaded samples carry
+    e2_index = e3_index = -1.
     """
-    window_rows: dict[int, list[tuple[int, list[float]]]] = {}
-    with open(f"{prefix}_windows.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        feature_names = tuple(header[2:])
-        for row in reader:
-            sid, t = int(row[0]), int(row[1])
-            window_rows.setdefault(sid, []).append((t, [float(v) for v in row[2:]]))
+    windows_path = f"{prefix}_windows.csv"
+    with open(windows_path) as fh:
+        feature_names = tuple(next(csv.reader([fh.readline()]), [])[2:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+            try:
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{windows_path}: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"{windows_path} holds no samples")
+    sid, step = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if nonfinite.size:
+        i = nonfinite[0]
+        raise ConfigError(f"{windows_path}: non-finite value in sample {sid[i]} at timestep {step[i]}")
+    order = np.lexsort((step, sid))
+    ids, counts = np.unique(sid, return_counts=True)
+    if np.any(counts != counts[0]):
+        bad = int(np.flatnonzero(counts != counts[0])[0])
+        raise ConfigError(
+            f"{windows_path}: ragged windows, sample {ids[0]} has {counts[0]} rows "
+            f"and sample {ids[bad]} has {counts[bad]}"
+        )
+    windows = rows[order, 2:].reshape(len(ids), int(counts[0]), rows.shape[1] - 2)
+
+    targets_path = f"{prefix}_targets.csv"
     meta = {}
-    with open(f"{prefix}_targets.csv", newline="") as fh:
+    with open(targets_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            meta[int(row[0])] = (int(row[1]), int(row[2]), float(row[3]))
+            target = float(row[3])
+            if not math.isfinite(target):
+                raise ConfigError(f"{targets_path}: non-finite target at line {reader.line_num}")
+            meta[int(row[0])] = (int(row[1]), int(row[2]), target)
     samples = []
-    n_timesteps = 0
-    for sid in sorted(window_rows):
-        rows = sorted(window_rows[sid])
-        window = np.array([vals for _, vals in rows])
-        e2_ts, e3_ts, target = meta[sid]
-        n_timesteps = window.shape[0]
+    for i, window in zip(ids.tolist(), windows):
+        if i not in meta:
+            raise ConfigError(f"{targets_path}: no row for sample {i}")
+        e2_ts, e3_ts, target = meta[i]
         samples.append(Sample(window, target, -1, -1, e2_ts, e3_ts))
-    if not samples:
-        raise ConfigError(f"{prefix}_windows.csv holds no samples")
-    return Dataset(tuple(samples), n_timesteps, role, feature_names=feature_names)
+    return Dataset(tuple(samples), windows.shape[1], role, feature_names=feature_names)

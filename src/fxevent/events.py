@@ -177,18 +177,28 @@ def crossovers(fast: np.ndarray, slow: np.ndarray) -> list[CrossEvent]:
     if fast.shape != slow.shape:
         raise ConfigError(f"length mismatch: fast {fast.shape} vs slow {slow.shape}")
     d = fast - slow
-    events: list[CrossEvent] = []
-    prev_sign = 0
-    for t in range(len(d)):
-        if not np.isfinite(d[t]):
-            continue
-        sign = 0 if d[t] == 0.0 else (1 if d[t] > 0.0 else -1)
-        if sign == 0:
-            continue
-        if prev_sign != 0 and sign != prev_sign:
-            events.append(CrossEvent(t, BULLISH if sign > 0 else BEARISH))
-        prev_sign = sign
-    return events
+    signed = np.flatnonzero(np.isfinite(d) & (d != 0.0))
+    rising = d[signed] > 0.0
+    flips = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+    return [
+        CrossEvent(t, BULLISH if up else BEARISH)
+        for t, up in zip(signed[flips].tolist(), rising[flips].tolist())
+    ]
+
+
+def retracement_candidates(closes: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(minima, maxima): masks of the closes that are strict local extrema over
+    [t - radius, t + radius]. Bars whose window leaves the series are never candidates."""
+    closes = np.asarray(closes, dtype=np.float64)
+    minima = np.zeros(len(closes), dtype=bool)
+    maxima = np.zeros(len(closes), dtype=bool)
+    if len(closes) > 2 * radius:
+        windows = sliding_window_view(closes, 2 * radius + 1)
+        sides = (windows[:, :radius], windows[:, radius + 1 :])
+        centre = closes[radius:-radius]
+        minima[radius:-radius] = (centre < sides[0].min(axis=1)) & (centre < sides[1].min(axis=1))
+        maxima[radius:-radius] = (centre > sides[0].max(axis=1)) & (centre > sides[1].max(axis=1))
+    return minima, maxima
 
 
 def find_retracement(
@@ -197,6 +207,7 @@ def find_retracement(
     trend: str,
     params: RetraceParams = RetraceParams(),
     barrier: int | None = None,
+    candidates: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, float] | None:
     """First counter-trend close after the crossover, or None.
 
@@ -205,26 +216,29 @@ def find_retracement(
     strict local minimum over [t - m, t + m] and close[t] < close[cross.index].
     Down trends mirror with a local maximum above the crossover close. The
     extremum window must lie fully inside the series.
+
+    `candidates` is `retracement_candidates(series.closes, params.local_radius)`;
+    it is computed here when not given, so pass it in when searching one series
+    many times.
     """
     closes = series.closes
-    n = len(closes)
     if barrier is None:
-        barrier = n
-    m = params.local_radius
+        barrier = len(closes)
+    if candidates is None:
+        candidates = retracement_candidates(closes, params.local_radius)
+    start = cross.index + 1
+    end = max(start, min(cross.index + params.lookahead, barrier))
     ref = closes[cross.index]
-    end = min(cross.index + params.lookahead, barrier)
-    for t in range(cross.index + 1, end):
-        if t - m < 0 or t + m >= n:
-            continue
-        window = closes[t - m : t + m + 1]
-        c = closes[t]
-        if trend == UP:
-            if c < ref and c < np.delete(window, m).min():
-                return t, float(c)
-        else:
-            if c > ref and c > np.delete(window, m).max():
-                return t, float(c)
-    return None
+    span = closes[start:end]
+    if trend == UP:
+        hits = candidates[0][start:end] & (span < ref)
+    else:
+        hits = candidates[1][start:end] & (span > ref)
+    first = np.flatnonzero(hits)
+    if first.size == 0:
+        return None
+    t = start + int(first[0])
+    return t, float(closes[t])
 
 
 def assemble_sequences(
@@ -235,39 +249,43 @@ def assemble_sequences(
 ) -> tuple[list[EventSequence], SequenceDiagnostics]:
     """Chain pivot -> first direction-matched crossover -> retracement into sequences.
 
-    Each pivot claims the first unused, direction-consistent crossover strictly
-    between itself and the next pivot; a crossover consumed by a pivot is spent
-    even when no retracement follows. Incomplete chains are dropped and tallied.
+    Each pivot claims the first direction-consistent crossover strictly between
+    itself and the next pivot; a crossover consumed by a pivot is spent even when
+    no retracement follows. Incomplete chains are dropped and tallied. Both lists
+    must be in index order, as `zigzag` and `crossovers` return them; the pivot
+    intervals are then disjoint, no crossover can be claimed twice, and the
+    sequences come out in crossover order.
     """
     diags = SequenceDiagnostics(pivots=len(pivots))
+    p_index = np.array([p.index for p in pivots], dtype=np.int64)
+    c_index = np.array([c.index for c in crosses], dtype=np.int64)
+    if np.any(np.diff(p_index) < 0) or np.any(np.diff(c_index) < 0):
+        raise ConfigError("pivots and crossovers must be in index order")
+    bullish = np.array([c.direction == BULLISH for c in crosses], dtype=bool)
+    # per direction: the crossovers' positions in `crosses` and their bar indices
+    by_direction = {}
+    for direction, mask in ((BULLISH, bullish), (BEARISH, ~bullish)):
+        positions = np.flatnonzero(mask)
+        by_direction[direction] = (positions.tolist(), c_index[positions])
+    next_index = np.append(p_index[1:], len(series)).tolist()
+    candidates = retracement_candidates(series.closes, params.local_radius)
+
     sequences: list[EventSequence] = []
-    used = [False] * len(crosses)
-    for p_idx, pivot in enumerate(pivots):
-        next_pivot_index = pivots[p_idx + 1].index if p_idx + 1 < len(pivots) else len(series)
-        want = BULLISH if pivot.kind == TROUGH else BEARISH
-        trend = UP if pivot.kind == TROUGH else DOWN
-        chosen = None
-        for c_idx, cross in enumerate(crosses):
-            if used[c_idx] or cross.direction != want:
-                continue
-            if pivot.index < cross.index < next_pivot_index:
-                chosen = c_idx
-                break
-            if cross.index >= next_pivot_index:
-                break
-        if chosen is None:
+    for pivot, barrier in zip(pivots, next_index):
+        want, trend = (BULLISH, UP) if pivot.kind == TROUGH else (BEARISH, DOWN)
+        positions, indices = by_direction[want]
+        k = int(np.searchsorted(indices, pivot.index, side="right"))
+        if k == len(positions) or indices[k] >= barrier:
             diags.pivots_unmatched += 1
             continue
-        used[chosen] = True
         diags.eligible_crossovers += 1
-        cross = crosses[chosen]
-        hit = find_retracement(series, cross, trend, params, barrier=next_pivot_index)
+        cross = crosses[positions[k]]
+        hit = find_retracement(series, cross, trend, params, barrier, candidates)
         if hit is None:
             diags.no_retracement += 1
             continue
         sequences.append(EventSequence(pivot, cross, hit[0], hit[1], trend))
         diags.emitted += 1
-    sequences.sort(key=lambda s: s.cross.index)
     return sequences, diags
 
 

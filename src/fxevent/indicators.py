@@ -15,14 +15,14 @@ Conventions pinned here so independent re-computations agree:
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .csvio import write_table
+from .errors import ConfigError, DataError
 from .market_data import CandleSeries
 
 
@@ -94,6 +94,36 @@ def sma(close: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _smooth(xs: np.ndarray, acc: float, n: int = 0, k: float = 0.0) -> list[float]:
+    """Run a first-order recurrence from `acc` over `xs`; returns the state after each step.
+
+    With `n`, Wilder's smoothing acc = (acc*(n-1) + x) / n; otherwise the EMA
+    step acc = x*k + acc*(1-k). The loop runs over Python floats, which keeps
+    numpy's per-scalar dispatch out of it; the arithmetic, and so every bit of
+    the result, is that of the same recurrence on float64 scalars.
+    """
+    out = []
+    append = out.append
+    acc = float(acc)
+    if n:
+        w = n - 1
+        for x in xs.tolist():
+            acc = (acc * w + x) / n
+            append(acc)
+    else:
+        j = 1.0 - k
+        for x in xs.tolist():
+            acc = x * k + acc * j
+            append(acc)
+    return out
+
+
+def _wilder_series(xs: np.ndarray, n: int) -> np.ndarray:
+    """Wilder average of `xs`: the mean of xs[:n], then one smoothing step per later value."""
+    seed = xs[:n].mean()
+    return np.array([seed, *_smooth(xs[n:], seed, n=n)])
+
+
 def ema(close: np.ndarray, n: int) -> np.ndarray:
     """Exponential moving average: out[t] = k*close[t] + (1-k)*out[t-1], k = 2/(n+1).
 
@@ -103,18 +133,12 @@ def ema(close: np.ndarray, n: int) -> np.ndarray:
         raise ConfigError(f"ema period must be >= 1, got {n}")
     close = np.asarray(close, dtype=np.float64)
     out = _nan_prefix(len(close))
-    if len(close) == 0:
-        return out
-    finite = np.nonzero(np.isfinite(close))[0]
+    finite = np.flatnonzero(np.isfinite(close))
     if finite.size == 0:
         return out
     start = int(finite[0])
-    k = 2.0 / (n + 1.0)
-    acc = close[start]
-    out[start] = acc
-    for t in range(start + 1, len(close)):
-        acc = close[t] * k + acc * (1.0 - k)
-        out[t] = acc
+    out[start] = close[start]
+    out[start + 1 :] = _smooth(close[start + 1 :], close[start], k=2.0 / (n + 1.0))
     return out
 
 
@@ -137,20 +161,11 @@ def rsi(close: np.ndarray, n: int) -> np.ndarray:
     if len(close) <= n:
         return out
     delta = np.diff(close)
-    gains = np.maximum(delta, 0.0)
-    losses = np.maximum(-delta, 0.0)
-    avg_gain = gains[:n].mean()
-    avg_loss = losses[:n].mean()
-    for t in range(n, len(close)):
-        if t > n:
-            avg_gain = (avg_gain * (n - 1) + gains[t - 1]) / n
-            avg_loss = (avg_loss * (n - 1) + losses[t - 1]) / n
-        if avg_loss == 0.0 and avg_gain == 0.0:
-            out[t] = 50.0
-        elif avg_loss == 0.0:
-            out[t] = 100.0
-        else:
-            out[t] = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    avg_gain = _wilder_series(np.maximum(delta, 0.0), n)
+    avg_loss = _wilder_series(np.maximum(-delta, 0.0), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    out[n:] = np.where(avg_loss == 0.0, np.where(avg_gain == 0.0, 50.0, 100.0), value)
     return out
 
 
@@ -177,52 +192,16 @@ def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndar
         [high[1:] - low[1:], np.abs(high[1:] - close[:-1]), np.abs(low[1:] - close[:-1])]
     )
 
-    # Wilder-smooth +DM, -DM and TR (arrays indexed by bar t >= 1), then DX from t = n.
-    sm_plus, sm_minus, sm_tr = plus_dm[:n].mean(), minus_dm[:n].mean(), tr[:n].mean()
-    dx = _nan_prefix(m)
-    for t in range(n, m):
-        if t > n:
-            sm_plus = (sm_plus * (n - 1) + plus_dm[t - 1]) / n
-            sm_minus = (sm_minus * (n - 1) + minus_dm[t - 1]) / n
-            sm_tr = (sm_tr * (n - 1) + tr[t - 1]) / n
-        plus_di = 100.0 * sm_plus / sm_tr if sm_tr > 0.0 else 0.0
-        minus_di = 100.0 * sm_minus / sm_tr if sm_tr > 0.0 else 0.0
+    # Wilder-smoothed +DM, -DM and TR for bars n..m-1, then +DI, -DI and DX on them.
+    sm_tr = _wilder_series(tr, n)
+    moving = sm_tr > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus_di = np.where(moving, 100.0 * _wilder_series(plus_dm, n) / sm_tr, 0.0)
+        minus_di = np.where(moving, 100.0 * _wilder_series(minus_dm, n) / sm_tr, 0.0)
         di_sum = plus_di + minus_di
-        dx[t] = 100.0 * abs(plus_di - minus_di) / di_sum if di_sum > 0.0 else 0.0
-
-    acc = dx[n : 2 * n].mean()
-    out[2 * n - 1] = acc
-    for t in range(2 * n, m):
-        acc = (acc * (n - 1) + dx[t]) / n
-        out[t] = acc
+        dx = np.where(di_sum > 0.0, 100.0 * np.abs(plus_di - minus_di) / di_sum, 0.0)
+    out[2 * n - 1 :] = _wilder_series(dx, n)
     return out
-
-
-def directional_indicators(high, low, close, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(+DI, -DI) on the same smoothing as `adx`; defined from index n. Diagnostic helper."""
-    high = np.asarray(high, dtype=np.float64)
-    low = np.asarray(low, dtype=np.float64)
-    close = np.asarray(close, dtype=np.float64)
-    m = len(close)
-    plus_out, minus_out = _nan_prefix(m), _nan_prefix(m)
-    if m <= n:
-        return plus_out, minus_out
-    up = high[1:] - high[:-1]
-    down = low[:-1] - low[1:]
-    plus_dm = np.where((up > down) & (up > 0.0), up, 0.0)
-    minus_dm = np.where((down > up) & (down > 0.0), down, 0.0)
-    tr = np.maximum.reduce(
-        [high[1:] - low[1:], np.abs(high[1:] - close[:-1]), np.abs(low[1:] - close[:-1])]
-    )
-    sm_plus, sm_minus, sm_tr = plus_dm[:n].mean(), minus_dm[:n].mean(), tr[:n].mean()
-    for t in range(n, m):
-        if t > n:
-            sm_plus = (sm_plus * (n - 1) + plus_dm[t - 1]) / n
-            sm_minus = (sm_minus * (n - 1) + minus_dm[t - 1]) / n
-            sm_tr = (sm_tr * (n - 1) + tr[t - 1]) / n
-        plus_out[t] = 100.0 * sm_plus / sm_tr if sm_tr > 0.0 else 0.0
-        minus_out[t] = 100.0 * sm_minus / sm_tr if sm_tr > 0.0 else 0.0
-    return plus_out, minus_out
 
 
 def bollinger(close: np.ndarray, params: IndicatorParams = IndicatorParams()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,17 +266,15 @@ def feature_matrix(series: CandleSeries, params: IndicatorParams = IndicatorPara
             stacklevel=2,
         )
         warmup = len(series)
-    else:
-        assert np.all(np.isfinite(values[warmup:])), "indicator produced NaN past its warm-up"
+    elif not np.all(np.isfinite(values[warmup:])):
+        bad = np.argwhere(~np.isfinite(values[warmup:]))[0]
+        raise DataError(
+            f"indicator {params.column_names()[bad[1]]} is not finite at bar {warmup + int(bad[0])}, "
+            f"past its warm-up of {warmup} bars"
+        )
     return FeatureMatrix(tuple(params.column_names()), values, warmup)
 
 
 def save_features_csv(series: CandleSeries, features: FeatureMatrix, path) -> None:
     """Export `timestamp` plus named indicator columns; undefined cells are empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *features.columns])
-        for i in range(len(features)):
-            row = [int(series.timestamps[i])]
-            row += ["" if not np.isfinite(v) else repr(float(v)) for v in features.values[i]]
-            writer.writerow(row)
+    write_table(path, ["timestamp", *features.columns], series.timestamps, features.values, blank_nonfinite=True)

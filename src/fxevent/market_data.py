@@ -10,10 +10,12 @@ import csv
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_table
 from .errors import ConfigError, DataError
 
 DEFAULT_PIP_SIZE = 1e-4
@@ -77,8 +79,8 @@ def make_series(symbol, pip_size, timestamps, opens, highs, lows, closes, source
     """Build a CandleSeries from arrays, sorting by timestamp and enforcing all invariants.
 
     Out-of-order rows are sorted (benign export artifact); duplicate timestamps are
-    rejected (ambiguous). Every bar must satisfy high >= max(open, close),
-    low <= min(open, close) and all prices > 0.
+    rejected (ambiguous). Every price must be finite, and every bar must satisfy
+    high >= max(open, close), low <= min(open, close) and all prices > 0.
     """
     ts = np.asarray(timestamps, dtype=np.int64)
     o = np.asarray(opens, dtype=np.float64)
@@ -94,6 +96,11 @@ def make_series(symbol, pip_size, timestamps, opens, highs, lows, closes, source
     dup = np.nonzero(np.diff(ts) == 0)[0]
     if dup.size:
         raise DataError(f"{source}: duplicate timestamp {int(ts[dup[0]])}")
+
+    nonfinite = np.nonzero(~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)))[0]
+    if nonfinite.size:
+        i = int(nonfinite[0])
+        raise DataError(f"{source}: non-finite price at ts={int(ts[i])} (o={o[i]} h={h[i]} l={l[i]} c={c[i]})")
 
     bad = np.nonzero((h < np.maximum(o, c)) | (l > np.minimum(o, c)) | (l <= 0))[0]
     if bad.size:
@@ -125,7 +132,8 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
     """Load `timestamp,open,high,low,close` CSV (header required) into a validated series.
 
     Timestamps may be epoch seconds or ISO-8601 UTC. A volume column, if present,
-    is ignored. Errors name the offending 1-based line number.
+    is ignored, and so are blank lines. Prices must be finite. Errors name the
+    offending 1-based line number.
     """
     path = Path(path)
     if not path.exists():
@@ -133,20 +141,27 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
     required = ("timestamp", "open", "high", "low", "close")
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
             raise DataError(f"{path}: empty file")
-        missing = [col for col in required if col not in reader.fieldnames]
+        missing = [col for col in required if col not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        it, io, ih, il, ic = (header.index(col) for col in required)
         for rec in reader:
-            line = reader.line_num
+            if not rec:
+                continue
             try:
-                ts = parse_timestamp(rec["timestamp"])
-                o, h, l, c = (float(rec[k]) for k in ("open", "high", "low", "close"))
-            except (DataError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row at line {line}: {exc}") from exc
-            if h < max(o, c) or l > min(o, c) or l <= 0:
+                ts = parse_timestamp(rec[it])
+                o, h, l, c = float(rec[io]), float(rec[ih]), float(rec[il]), float(rec[ic])
+            except (DataError, IndexError, ValueError) as exc:
+                raise DataError(f"{path}: malformed row at line {reader.line_num}: {exc}") from exc
+            # one chained test: any NaN fails a comparison, and h < inf with l > 0 bounds the rest
+            if not (0.0 < l <= o <= h < inf and l <= c <= h):
+                line = reader.line_num
+                if not all(map(isfinite, (o, h, l, c))):
+                    raise DataError(f"{path}: non-finite price at line {line} (o={o} h={h} l={l} c={c})")
                 raise DataError(
                     f"{path}: OHLC invariant violated at line {line} (o={o} h={h} l={l} c={c})"
                 )
@@ -159,19 +174,8 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
 
 def save_csv(series: CandleSeries, path) -> None:
     """Write a series back to the CSV input format (epoch-second timestamps)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "open", "high", "low", "close"])
-        for i in range(len(series)):
-            writer.writerow(
-                [
-                    int(series.timestamps[i]),
-                    repr(float(series.opens[i])),
-                    repr(float(series.highs[i])),
-                    repr(float(series.lows[i])),
-                    repr(float(series.closes[i])),
-                ]
-            )
+    prices = np.column_stack([series.opens, series.highs, series.lows, series.closes])
+    write_table(path, ["timestamp", "open", "high", "low", "close"], series.timestamps, prices)
 
 
 def _subset(series: CandleSeries, mask: np.ndarray) -> CandleSeries:

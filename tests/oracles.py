@@ -6,6 +6,7 @@ and step-by-step recurrences, independent of the library's vectorized kernels.
 
 import numpy as np
 
+from fxevent.events import BEARISH, BULLISH, DOWN, TROUGH, UP, CrossEvent, EventSequence, SequenceDiagnostics
 from fxevent.nn.core import Dense, Param
 
 
@@ -227,6 +228,159 @@ def adam_reference(theta0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
         theta = theta - lr * m_hat / (v_hat**0.5 + eps)
         out.append(theta)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Loop references: the library's earlier per-bar kernels, kept as they were.
+# They use numpy-scalar recurrences, a per-bar np.delete scan and a quadratic
+# pivot/crossover match. The batched kernels in fxevent must equal them
+# bitwise, event for event and tally for tally.
+
+
+def loop_ema(close, n):
+    close = np.asarray(close, dtype=np.float64)
+    out = np.full(len(close), np.nan)
+    if len(close) == 0:
+        return out
+    finite = np.nonzero(np.isfinite(close))[0]
+    if finite.size == 0:
+        return out
+    start = int(finite[0])
+    k = 2.0 / (n + 1.0)
+    acc = close[start]
+    out[start] = acc
+    for t in range(start + 1, len(close)):
+        acc = close[t] * k + acc * (1.0 - k)
+        out[t] = acc
+    return out
+
+
+def loop_rsi(close, n):
+    close = np.asarray(close, dtype=np.float64)
+    out = np.full(len(close), np.nan)
+    if len(close) <= n:
+        return out
+    delta = np.diff(close)
+    gains = np.maximum(delta, 0.0)
+    losses = np.maximum(-delta, 0.0)
+    avg_gain = gains[:n].mean()
+    avg_loss = losses[:n].mean()
+    for t in range(n, len(close)):
+        if t > n:
+            avg_gain = (avg_gain * (n - 1) + gains[t - 1]) / n
+            avg_loss = (avg_loss * (n - 1) + losses[t - 1]) / n
+        if avg_loss == 0.0 and avg_gain == 0.0:
+            out[t] = 50.0
+        elif avg_loss == 0.0:
+            out[t] = 100.0
+        else:
+            out[t] = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    return out
+
+
+def loop_adx(high, low, close, n):
+    high = np.asarray(high, dtype=np.float64)
+    low = np.asarray(low, dtype=np.float64)
+    close = np.asarray(close, dtype=np.float64)
+    m = len(close)
+    out = np.full(m, np.nan)
+    if m < 2 * n:
+        return out
+    up = high[1:] - high[:-1]
+    down = low[:-1] - low[1:]
+    plus_dm = np.where((up > down) & (up > 0.0), up, 0.0)
+    minus_dm = np.where((down > up) & (down > 0.0), down, 0.0)
+    tr = np.maximum.reduce(
+        [high[1:] - low[1:], np.abs(high[1:] - close[:-1]), np.abs(low[1:] - close[:-1])]
+    )
+    sm_plus, sm_minus, sm_tr = plus_dm[:n].mean(), minus_dm[:n].mean(), tr[:n].mean()
+    dx = np.full(m, np.nan)
+    for t in range(n, m):
+        if t > n:
+            sm_plus = (sm_plus * (n - 1) + plus_dm[t - 1]) / n
+            sm_minus = (sm_minus * (n - 1) + minus_dm[t - 1]) / n
+            sm_tr = (sm_tr * (n - 1) + tr[t - 1]) / n
+        plus_di = 100.0 * sm_plus / sm_tr if sm_tr > 0.0 else 0.0
+        minus_di = 100.0 * sm_minus / sm_tr if sm_tr > 0.0 else 0.0
+        di_sum = plus_di + minus_di
+        dx[t] = 100.0 * abs(plus_di - minus_di) / di_sum if di_sum > 0.0 else 0.0
+    acc = dx[n : 2 * n].mean()
+    out[2 * n - 1] = acc
+    for t in range(2 * n, m):
+        acc = (acc * (n - 1) + dx[t]) / n
+        out[t] = acc
+    return out
+
+
+def loop_crossovers(fast, slow):
+    d = np.asarray(fast, dtype=np.float64) - np.asarray(slow, dtype=np.float64)
+    events = []
+    prev_sign = 0
+    for t in range(len(d)):
+        if not np.isfinite(d[t]):
+            continue
+        sign = 0 if d[t] == 0.0 else (1 if d[t] > 0.0 else -1)
+        if sign == 0:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            events.append(CrossEvent(t, BULLISH if sign > 0 else BEARISH))
+        prev_sign = sign
+    return events
+
+
+def loop_find_retracement(series, cross, trend, params, barrier=None):
+    closes = series.closes
+    n = len(closes)
+    if barrier is None:
+        barrier = n
+    m = params.local_radius
+    ref = closes[cross.index]
+    end = min(cross.index + params.lookahead, barrier)
+    for t in range(cross.index + 1, end):
+        if t - m < 0 or t + m >= n:
+            continue
+        window = closes[t - m : t + m + 1]
+        c = closes[t]
+        if trend == UP:
+            if c < ref and c < np.delete(window, m).min():
+                return t, float(c)
+        else:
+            if c > ref and c > np.delete(window, m).max():
+                return t, float(c)
+    return None
+
+
+def quadratic_assemble_sequences(pivots, crosses, series, params):
+    diags = SequenceDiagnostics(pivots=len(pivots))
+    sequences = []
+    used = [False] * len(crosses)
+    for p_idx, pivot in enumerate(pivots):
+        next_pivot_index = pivots[p_idx + 1].index if p_idx + 1 < len(pivots) else len(series)
+        want = BULLISH if pivot.kind == TROUGH else BEARISH
+        trend = UP if pivot.kind == TROUGH else DOWN
+        chosen = None
+        for c_idx, cross in enumerate(crosses):
+            if used[c_idx] or cross.direction != want:
+                continue
+            if pivot.index < cross.index < next_pivot_index:
+                chosen = c_idx
+                break
+            if cross.index >= next_pivot_index:
+                break
+        if chosen is None:
+            diags.pivots_unmatched += 1
+            continue
+        used[chosen] = True
+        diags.eligible_crossovers += 1
+        cross = crosses[chosen]
+        hit = loop_find_retracement(series, cross, trend, params, barrier=next_pivot_index)
+        if hit is None:
+            diags.no_retracement += 1
+            continue
+        sequences.append(EventSequence(pivot, cross, hit[0], hit[1], trend))
+        diags.emitted += 1
+    sequences.sort(key=lambda s: s.cross.index)
+    return sequences, diags
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fxevent.csvio import format_rows
 from fxevent.dataset import (
     Dataset,
     Sample,
@@ -188,6 +195,100 @@ class TestSerialization:
         assert header == "sample_id,timestep,a,b,c"
         targets_header = (tmp_path / "x_targets.csv").read_text().splitlines()[0]
         assert targets_header == "sample_id,e2_ts,e3_ts,target"
+
+
+    def test_golden_bytes(self, tmp_path):
+        ds = Dataset(
+            (
+                Sample(np.array([[0.1, -2.5e-300], [1e16, 3.0]]), 1.1, 5, 9, 1000, 2000),
+                Sample(np.array([[-0.0, 123.456], [7.0, 1 / 3]]), 0.86, 6, 12, 1900, 3800),
+            ),
+            2,
+            "train",
+            feature_names=("a", "b"),
+        )
+        save_dataset(ds, tmp_path / "g")
+        assert (tmp_path / "g_windows.csv").read_bytes() == (
+            b"sample_id,timestep,a,b\r\n"
+            b"0,0,0.1,-2.5e-300\r\n"
+            b"0,1,1e+16,3.0\r\n"
+            b"1,0,-0.0,123.456\r\n"
+            b"1,1,7.0,0.3333333333333333\r\n"
+        )
+        assert (tmp_path / "g_targets.csv").read_bytes() == (
+            b"sample_id,e2_ts,e3_ts,target\r\n"
+            b"0,1000,2000,1.1\r\n"
+            b"1,1900,3800,0.86\r\n"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        windows=st.integers(1, 4).flatmap(
+            lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(0, 3)),
+                             elements=st.floats(allow_nan=False, allow_infinity=False))
+        ),
+        targets=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+    )
+    def test_round_trip_is_bitwise(self, tmp_path_factory, windows, targets):
+        samples = tuple(Sample(w, targets[i], -1, -1, i, 2 * i) for i, w in enumerate(windows))
+        prefix = tmp_path_factory.mktemp("rt") / "ds"
+        save_dataset(Dataset(samples, windows.shape[1], "train"), prefix)
+        back = load_dataset(prefix)
+        assert back.windows().tobytes() == windows.tobytes()
+        assert back.targets().tobytes() == np.array(targets[: len(windows)]).tobytes()
+        assert [(s.e2_ts, s.e3_ts) for s in back.samples] == [(i, 2 * i) for i in range(len(windows))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4))),
+        blank=st.booleans(),
+    )
+    def test_rows_match_csv_writer(self, values, blank):
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        for i, row in enumerate(values):
+            cells = ["" if blank and not np.isfinite(v) else repr(float(v)) for v in row]
+            writer.writerow([i, *cells])
+        assert format_rows(range(len(values)), values, blank_nonfinite=blank) == out.getvalue()
+
+    def test_missing_target_row_names_file(self, rng, tmp_path):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "m")
+        path = tmp_path / "m_targets.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + lines[3:]))  # drop sample 1
+        with pytest.raises(ConfigError, match="m_targets.csv.*sample 1"):
+            load_dataset(tmp_path / "m")
+
+    def test_rows_in_any_order(self, rng, tmp_path):
+        ds = tiny_dataset(rng, n_samples=5)
+        save_dataset(ds, tmp_path / "s")
+        path = tmp_path / "s_windows.csv"
+        header, *body = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(body[i] for i in rng.permutation(len(body))))
+        assert load_dataset(tmp_path / "s").windows().tobytes() == ds.windows().tobytes()
+
+    @pytest.mark.parametrize("name, line, value", [("windows", 3, "nan"), ("targets", 2, "inf")])
+    def test_non_finite_value_names_file(self, rng, tmp_path, name, line, value):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "n")
+        path = tmp_path / f"n_{name}.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=f"n_{name}.csv: non-finite"):
+            load_dataset(tmp_path / "n")
+
+    @pytest.mark.parametrize("cut", ["row", "field"])
+    def test_ragged_windows_name_file(self, rng, tmp_path, cut):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "r")
+        path = tmp_path / "r_windows.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if cut == "row":
+            del lines[5]  # sample 1 loses one of its four timesteps
+        else:
+            lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match="r_windows.csv"):
+            load_dataset(tmp_path / "r")
 
 
 class TestDatasetInvariants:

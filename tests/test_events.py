@@ -251,6 +251,14 @@ class TestAssembleSequences:
             used.add(s.cross.index)
         assert [s.cross.index for s in sequences] == sorted(s.cross.index for s in sequences)
 
+    def test_unordered_inputs_rejected(self, synth):
+        pivots = [Pivot(20, PEAK, 1.2, 32), Pivot(10, TROUGH, 1.1, 22)]
+        with pytest.raises(ConfigError, match="index order"):
+            assemble_sequences(pivots, [], synth)
+        crosses = [CrossEvent(30, BULLISH), CrossEvent(25, BEARISH)]
+        with pytest.raises(ConfigError, match="index order"):
+            assemble_sequences(pivots[::-1], crosses, synth)
+
     def test_sequence_constructor_validates(self):
         with pytest.raises(ConfigError):
             EventSequence(Pivot(10, TROUGH, 1.0, 12), CrossEvent(5, BULLISH), 20, 1.0, UP)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fxevent.errors import ConfigError
+from fxevent.errors import ConfigError, DataError
 from fxevent.indicators import (
     IndicatorParams,
     adx,
@@ -120,15 +120,6 @@ class TestAdx:
         flat = np.full(n, 1.2)
         out = adx(flat, flat, flat, 5)
         assert np.allclose(out[9:], 0.0)
-
-    def test_steady_rise_plus_di_dominates(self):
-        from fxevent.indicators import directional_indicators
-
-        n = 80
-        base = np.linspace(1.0, 1.5, n)
-        plus, minus = directional_indicators(base + 0.01, base - 0.01, base, 5)
-        defined = ~np.isnan(plus)
-        assert np.all(plus[defined] > minus[defined])
 
     def test_matches_wilder_oracle(self, rng):
         walk = random_walk_series(rng, 300)
@@ -266,6 +257,16 @@ class TestFeatureMatrix:
         assert np.isnan(fm.values[:69]).any(axis=1).all() is np.True_ or np.isnan(
             fm.values[68]
         ).any()
+
+    def test_non_finite_past_warmup_raises(self):
+        from fxevent.market_data import CandleSeries
+
+        n = 200
+        closes = np.linspace(1.0, 1.2, n)
+        closes[150] = np.inf  # CandleSeries itself does not check prices; make_series does
+        series = CandleSeries("X", 1e-4, np.arange(n, dtype=np.int64), closes, closes, closes, closes)
+        with pytest.raises(DataError, match="macd is not finite at bar 150"):
+            feature_matrix(series)
 
     def test_short_series_warns(self):
         from fxevent.market_data import CandleSeries

@@ -1,0 +1,117 @@
+"""The batched indicator and event kernels against the per-bar loops they replaced.
+
+Every comparison is bitwise: the same floats, the same events, the same tallies.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from fxevent.events import (
+    BEARISH,
+    BULLISH,
+    DOWN,
+    PEAK,
+    TROUGH,
+    UP,
+    CrossEvent,
+    Pivot,
+    RetraceParams,
+    ZigZagParams,
+    assemble_sequences,
+    crossovers,
+    find_retracement,
+    zigzag,
+)
+from fxevent.indicators import adx, ema, rsi
+from fxevent.market_data import CandleSeries
+
+from conftest import random_walk_series
+
+PIP = 1e-4
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def quantized(series, quantum_pips):
+    """Prices rounded to a grid, so flat runs, ties and zero differences occur often."""
+    if quantum_pips == 0:
+        return series
+    q = quantum_pips * PIP
+    o, h, l, c = (np.round(a / q) * q for a in (series.opens, series.highs, series.lows, series.closes))
+    return CandleSeries(series.symbol, series.pip_size, series.timestamps.copy(), o, h, l, c)
+
+
+@st.composite
+def walks(draw, max_bars=400):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = random_walk_series(rng, draw(st.integers(1, max_bars)), vol_pips=draw(st.floats(0.5, 20.0)))
+    return quantized(series, draw(st.sampled_from([0, 1, 4])))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@SETTINGS
+@given(series=walks(), n=st.integers(1, 40), lead_nan=st.integers(0, 3))
+def test_recurrences_equal_loops(series, n, lead_nan):
+    c, h, l = series.closes, series.highs, series.lows
+    assert same_bits(rsi(c, n), oracles.loop_rsi(c, n))
+    assert same_bits(adx(h, l, c, n), oracles.loop_adx(h, l, c, n))
+    padded = np.concatenate([np.full(lead_nan, np.nan), c])
+    assert same_bits(ema(padded, n), oracles.loop_ema(padded, n))
+
+
+@SETTINGS
+@given(d=st.lists(st.sampled_from([-2.5, -1.0, 0.0, 1.0, 3.0, np.nan, np.inf]), max_size=40))
+def test_crossovers_equal_loop_on_sign_paths(d):
+    fast, slow = np.array(d, dtype=np.float64), np.zeros(len(d))
+    assert crossovers(fast, slow) == oracles.loop_crossovers(fast, slow)
+
+
+@SETTINGS
+@given(
+    series=walks(),
+    fast=st.integers(1, 8),
+    slow=st.integers(2, 25),
+    depth=st.integers(1, 12),
+    deviation=st.floats(0.5, 20.0),
+    backstep=st.integers(0, 4),
+    radius=st.integers(1, 4),
+    extra=st.integers(1, 60),
+)
+def test_events_equal_loops_on_walks(series, fast, slow, depth, deviation, backstep, radius, extra):
+    c = series.closes
+    crosses = crossovers(ema(c, fast), ema(c, slow))
+    assert crosses == oracles.loop_crossovers(ema(c, fast), ema(c, slow))
+    pivots = zigzag(series, ZigZagParams(depth, deviation, backstep))
+    params = RetraceParams(radius, radius + extra)
+    got = assemble_sequences(pivots, crosses, series, params)
+    assert got == oracles.quadratic_assemble_sequences(pivots, crosses, series, params)
+    for cross in crosses[:20]:
+        for trend in (UP, DOWN):
+            for barrier in (None, cross.index, cross.index + radius + 1):
+                assert find_retracement(series, cross, trend, params, barrier) == oracles.loop_find_retracement(
+                    series, cross, trend, params, barrier
+                )
+
+
+@st.composite
+def hand_built(draw):
+    """A short series with sorted pivot and crossover lists; indices may repeat and coincide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = quantized(random_walk_series(rng, draw(st.integers(1, 60)), vol_pips=8.0), draw(st.sampled_from([0, 4])))
+    index = st.integers(0, len(series) - 1)
+    pivot_at = sorted(draw(st.lists(index, max_size=10)))
+    pivots = [Pivot(i, draw(st.sampled_from([TROUGH, PEAK])), 1.0, i) for i in pivot_at]
+    cross_at = sorted(draw(st.lists(index, max_size=16)))
+    crosses = [CrossEvent(i, draw(st.sampled_from([BULLISH, BEARISH]))) for i in cross_at]
+    params = RetraceParams(draw(st.integers(1, 3)), draw(st.integers(4, 30)))
+    return pivots, crosses, series, params
+
+
+@SETTINGS
+@given(case=hand_built())
+def test_assemble_equals_quadratic_on_hand_built_lists(case):
+    assert assemble_sequences(*case) == oracles.quadratic_assemble_sequences(*case)

@@ -91,6 +91,23 @@ class TestLoadCsv:
         )
         assert len(load_csv(path, "X")) == 1
 
+    @pytest.mark.parametrize(
+        "row", ["200,nan,1.3,1.0,1.2", "200,1.1,inf,1.0,1.2", "200,1.1,1.3,-inf,1.2", "200,1.1,1.3,1.0,NaN"]
+    )
+    def test_non_finite_price_names_line(self, tmp_path, row):
+        path = write(tmp_path, f"timestamp,open,high,low,close\n100,1.0,1.2,0.9,1.1\n{row}\n")
+        with pytest.raises(DataError, match="non-finite price at line 3"):
+            load_csv(path, "X")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = write(tmp_path, "\ntimestamp,open,high,low,close\n\n100,1.0,1.2,0.9,1.1\n\n")
+        assert len(load_csv(path, "X")) == 1
+
+    def test_short_row_names_line(self, tmp_path):
+        path = write(tmp_path, "timestamp,open,high,low,close\n100,1.0,1.2,0.9,1.1\n200,1.1,1.3\n")
+        with pytest.raises(DataError, match="malformed row at line 3"):
+            load_csv(path, "X")
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "timestamp,open,high,low\n100,1.0,1.2,0.9\n")
         with pytest.raises(DataError, match="close"):
@@ -193,3 +210,11 @@ class TestMakeSeries:
     def test_bad_pip_size(self):
         with pytest.raises(ConfigError):
             make_series("X", 0.0, [1], [1.0], [1.0], [1.0], [1.0])
+
+    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_price_names_timestamp(self, field, bad):
+        columns = [[300, 100, 200], [1.0] * 3, [1.2] * 3, [0.9] * 3, [1.1] * 3]
+        columns[field][0] = bad
+        with pytest.raises(DataError, match="non-finite price at ts=300"):
+            make_series("X", 1e-4, *columns)
