@@ -8,7 +8,7 @@ retracement point.
 
 __version__ = "0.1.0"
 
-from .market_data import Candle, CandleSeries, RegimeParams, SplitSpec, load_csv, split_by_date, synthetic_series
+from .market_data import CandleSeries, RegimeParams, load_csv, synthetic_series
 from .indicators import FeatureMatrix, IndicatorParams, feature_matrix
 from .events import (
     CrossEvent,
@@ -28,7 +28,6 @@ from .experiment import run_experiment
 from .config import ExperimentConfig, load_config
 
 __all__ = [
-    "Candle",
     "CandleSeries",
     "CrossEvent",
     "Dataset",
@@ -44,7 +43,6 @@ __all__ = [
     "RegimeParams",
     "RetraceParams",
     "Sample",
-    "SplitSpec",
     "TrainHyper",
     "TrainReport",
     "ZigZagParams",
@@ -64,7 +62,6 @@ __all__ = [
     "predict",
     "rmse",
     "run_experiment",
-    "split_by_date",
     "synthetic_series",
     "train",
     "zigzag",

@@ -12,19 +12,19 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import events as ev_mod
-from .config import load_config, write_example
+from .config import DataConfig, EventConfig, ModelArch, load_config, write_example
 from .errors import ConfigError, DataError
 from .experiment import emit_predictions, run_experiment
 from .indicators import IndicatorParams, ema, feature_matrix, save_features_csv
-from .market_data import RegimeParams, load_csv, save_csv, synthetic_series
+from .market_data import DEFAULT_PIP_SIZE, RegimeParams, load_csv, save_csv, synthetic_series
 from .metrics import MetricsReport
 from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save_model, train
 
 
 def _add_series_args(p):
     p.add_argument("--csv", required=True, help="input candle CSV (timestamp,open,high,low,close)")
-    p.add_argument("--symbol", default="SYN")
-    p.add_argument("--pip-size", type=float, default=1e-4)
+    p.add_argument("--symbol", default=DataConfig.symbol)
+    p.add_argument("--pip-size", type=float, default=DEFAULT_PIP_SIZE)
 
 
 def _load_series(args):
@@ -133,13 +133,16 @@ def _save_stats(stats, path):
 
 
 def _load_stats(path):
-    payload = json.loads(Path(path).read_text())
-    return ds_mod.NormStats(
-        np.array(payload["feature_mean"]),
-        np.array(payload["feature_std"]),
-        float(payload["target_mean"]),
-        float(payload["target_std"]),
-    )
+    try:
+        payload = json.loads(Path(path).read_text())
+        return ds_mod.NormStats(
+            np.array(payload["feature_mean"]),
+            np.array(payload["feature_std"]),
+            float(payload["target_mean"]),
+            float(payload["target_std"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed stats file ({type(exc).__name__}: {exc})") from None
 
 
 def cmd_evaluate(args):
@@ -196,10 +199,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic candle CSV")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--symbol", default="SYN")
-    p.add_argument("--trend", default="alternate", choices=["alternate", "up", "down"])
+    p.add_argument("--seed", type=int, default=DataConfig.synth_seed)
+    p.add_argument("--n", type=int, default=DataConfig.synth_n)
+    p.add_argument("--symbol", default=DataConfig.symbol)
+    p.add_argument("--trend", default=RegimeParams.trend, choices=["alternate", "up", "down"])
     p.add_argument("--noise-pips", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -211,33 +214,33 @@ def build_parser():
 
     p = sub.add_parser("events", help="dump pivots, crossovers and retracements")
     _add_series_args(p)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--deviation-pips", type=float, default=5.0)
-    p.add_argument("--backstep", type=int, default=3)
-    p.add_argument("--fast", type=int, default=5)
-    p.add_argument("--slow", type=int, default=20)
+    p.add_argument("--depth", type=int, default=ev_mod.ZigZagParams.depth)
+    p.add_argument("--deviation-pips", type=float, default=ev_mod.ZigZagParams.deviation_pips)
+    p.add_argument("--backstep", type=int, default=ev_mod.ZigZagParams.backstep)
+    p.add_argument("--fast", type=int, default=EventConfig.cross_fast)
+    p.add_argument("--slow", type=int, default=EventConfig.cross_slow)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_events)
 
     p = sub.add_parser("dataset", help="build and serialize training windows")
     _add_series_args(p)
     p.add_argument("--timesteps", type=int, default=30)
-    p.add_argument("--fast", type=int, default=5)
-    p.add_argument("--slow", type=int, default=20)
+    p.add_argument("--fast", type=int, default=EventConfig.cross_fast)
+    p.add_argument("--slow", type=int, default=EventConfig.cross_slow)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("train", help="train one model on a serialized dataset")
     p.add_argument("--dataset", required=True, help="dataset prefix from the dataset command")
     p.add_argument("--kind", default="lstm", choices=list(KINDS))
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--layers", type=int, default=ModelArch.layers)
+    p.add_argument("--hidden", type=int, default=ModelArch.hidden)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
+    p.add_argument("--lr", type=float, default=TrainHyper.lr)
+    p.add_argument("--batch-size", type=int, default=TrainHyper.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainHyper.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainHyper.patience)
+    p.add_argument("--val-fraction", type=float, default=ModelArch.val_fraction)
     p.add_argument("--out", required=True, help="model file path")
     p.set_defaults(func=cmd_train)
 
@@ -264,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

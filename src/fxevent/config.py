@@ -8,13 +8,13 @@ reproducible from its output directory.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .events import RetraceParams, ZigZagParams
 from .indicators import IndicatorParams
-from .market_data import RegimeParams, parse_timestamp
+from .market_data import DEFAULT_PIP_SIZE, RegimeParams, parse_timestamp
 from .nn.models import KINDS, TrainHyper
 
 
@@ -23,7 +23,7 @@ class DataConfig:
     source: str = "synthetic"  # "synthetic" | "csv"
     csv_path: str = ""
     symbol: str = "SYN"
-    pip_size: float = 1e-4
+    pip_size: float = DEFAULT_PIP_SIZE
     synth_seed: int = 7
     synth_n: int = 5000
 
@@ -90,130 +90,97 @@ class ExperimentConfig:
         return self
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
+def _keys(*names, **renamed):
+    """INI key -> field name: each name maps to itself, each keyword to its value."""
+    return {**{n: n for n in names}, **renamed}
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
+# INI section -> (the ExperimentConfig attribute it sets, None for the config
+# itself; {INI key: field}). These are the only settable keys.
+_SECTIONS = {
+    "data": ("data", _keys("source", "symbol", "pip_size", csv="csv_path", seed="synth_seed", n="synth_n")),
+    "regime": ("regime", _keys(
+        "start_price", "pip", "leg_len", "slope_pips", "notch_frac", "notch_retrace", "notch_down_bars",
+        "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
+    )),
+    "split": ("split", _keys("cutoff", "cutoff_fraction")),
+    "indicators": ("indicators", _keys(
+        "macd_fast", "macd_slow", "macd_signal", "boll_window", "boll_k",
+        "sma_periods", "rsi_periods", "adx_periods", "wr_periods",
+    )),
+    "zigzag": ("zigzag", _keys("depth", "deviation_pips", "backstep")),
+    "crossover": ("events", _keys(fast="cross_fast", slow="cross_slow")),
+    "events": ("events", _keys("causal_filter")),
+    "retracement": ("retrace", _keys("local_radius", "lookahead")),
+    "grid": ("grid", _keys("kinds", "timesteps")),
+    "model": ("arch", _keys("layers", "hidden", "val_fraction")),
+    "training": ("training", _keys("lr", "batch_size", "max_epochs", "patience", "clip_norm")),
+    "output": (None, _keys("save_models", dir="out_dir")),
+    "run": (None, _keys("seed")),
+}
+
+_GETTERS = {bool: "getboolean", int: "getint", float: "getfloat", str: "get"}
 
 
-def _pair(vals, what):
-    if len(vals) != 2:
-        raise ConfigError(f"{what} expects two comma-separated values, got {vals}")
-    return vals[0], vals[1]
+def _parse(parser, section, key, default):
+    """The value of `key`, typed like the field's default; a tuple default takes a comma list."""
+    raw = parser.get(section, key)
+    if section == "split":  # a timestamp cutoff or a fraction; an empty value counts as absent
+        if not raw:
+            return None
+        return parse_timestamp(raw) if key == "cutoff" else float(raw)
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        return tuple(kind(v.strip()) for v in raw.split(",") if v.strip())
+    return getattr(parser, _GETTERS[type(default)])(section, key)
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read an INI config over the defaults.
+
+    An unknown section or key, a value that does not parse and a value out of
+    range each raise ConfigError naming the file.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
     cfg = ExperimentConfig()
-
-    if parser.has_section("data"):
-        s = parser["data"]
-        cfg.data = DataConfig(
-            source=s.get("source", cfg.data.source),
-            csv_path=s.get("csv", cfg.data.csv_path),
-            symbol=s.get("symbol", cfg.data.symbol),
-            pip_size=s.getfloat("pip_size", cfg.data.pip_size),
-            synth_seed=s.getint("seed", cfg.data.synth_seed),
-            synth_n=s.getint("n", cfg.data.synth_n),
-        )
-    if parser.has_section("regime"):
-        s = parser["regime"]
-        d = cfg.regime
-        cfg.regime = RegimeParams(
-            start_price=s.getfloat("start_price", d.start_price),
-            pip=s.getfloat("pip", d.pip),
-            leg_len=_pair(_ints(s.get("leg_len", "%d,%d" % d.leg_len)), "regime.leg_len"),
-            slope_pips=_pair(_floats(s.get("slope_pips", "%g,%g" % d.slope_pips)), "regime.slope_pips"),
-            notch_frac=_pair(_floats(s.get("notch_frac", "%g,%g" % d.notch_frac)), "regime.notch_frac"),
-            notch_retrace=_pair(
-                _floats(s.get("notch_retrace", "%g,%g" % d.notch_retrace)), "regime.notch_retrace"
-            ),
-            notch_down_bars=s.getint("notch_down_bars", d.notch_down_bars),
-            notch_recover_bars=s.getint("notch_recover_bars", d.notch_recover_bars),
-            noise_pips=s.getfloat("noise_pips", d.noise_pips),
-            wick_pips=s.getfloat("wick_pips", d.wick_pips),
-            trend=s.get("trend", d.trend),
-            reversion_pips=s.getfloat("reversion_pips", d.reversion_pips),
-        )
-    if parser.has_section("split"):
-        s = parser["split"]
-        cutoff = s.get("cutoff", "").strip()
-        fraction = s.get("cutoff_fraction", "").strip()
-        cfg.split = SplitConfig(
-            cutoff=parse_timestamp(cutoff) if cutoff else None,
-            cutoff_fraction=float(fraction) if fraction else (None if cutoff else 0.8),
-        )
-    if parser.has_section("indicators"):
-        s = parser["indicators"]
-        d = cfg.indicators
-        cfg.indicators = IndicatorParams(
-            macd_fast=s.getint("macd_fast", d.macd_fast),
-            macd_slow=s.getint("macd_slow", d.macd_slow),
-            macd_signal=s.getint("macd_signal", d.macd_signal),
-            boll_window=s.getint("boll_window", d.boll_window),
-            boll_k=s.getfloat("boll_k", d.boll_k),
-            sma_periods=_ints(s.get("sma_periods", ",".join(map(str, d.sma_periods)))),
-            rsi_periods=_ints(s.get("rsi_periods", ",".join(map(str, d.rsi_periods)))),
-            adx_periods=_ints(s.get("adx_periods", ",".join(map(str, d.adx_periods)))),
-            wr_periods=_ints(s.get("wr_periods", ",".join(map(str, d.wr_periods)))),
-        )
-    if parser.has_section("zigzag"):
-        s = parser["zigzag"]
-        d = cfg.zigzag
-        cfg.zigzag = ZigZagParams(
-            depth=s.getint("depth", d.depth),
-            deviation_pips=s.getfloat("deviation_pips", d.deviation_pips),
-            backstep=s.getint("backstep", d.backstep),
-        )
-    if parser.has_section("crossover"):
-        s = parser["crossover"]
-        cfg.events.cross_fast = s.getint("fast", cfg.events.cross_fast)
-        cfg.events.cross_slow = s.getint("slow", cfg.events.cross_slow)
-    if parser.has_section("events"):
-        cfg.events.causal_filter = parser["events"].getboolean(
-            "causal_filter", cfg.events.causal_filter
-        )
-    if parser.has_section("retracement"):
-        s = parser["retracement"]
-        cfg.retrace = RetraceParams(
-            local_radius=s.getint("local_radius", cfg.retrace.local_radius),
-            lookahead=s.getint("lookahead", cfg.retrace.lookahead),
-        )
-    if parser.has_section("grid"):
-        s = parser["grid"]
-        cfg.grid = GridConfig(
-            kinds=tuple(v.strip() for v in s.get("kinds", ",".join(cfg.grid.kinds)).split(",") if v.strip()),
-            timesteps=_ints(s.get("timesteps", ",".join(map(str, cfg.grid.timesteps)))),
-        )
-    if parser.has_section("model"):
-        s = parser["model"]
-        cfg.arch = ModelArch(
-            layers=s.getint("layers", cfg.arch.layers),
-            hidden=s.getint("hidden", cfg.arch.hidden),
-            val_fraction=s.getfloat("val_fraction", cfg.arch.val_fraction),
-        )
-    if parser.has_section("training"):
-        s = parser["training"]
-        d = cfg.training
-        cfg.training = TrainHyper(
-            lr=s.getfloat("lr", d.lr),
-            batch_size=s.getint("batch_size", d.batch_size),
-            max_epochs=s.getint("max_epochs", d.max_epochs),
-            patience=s.getint("patience", d.patience),
-            clip_norm=s.getfloat("clip_norm", d.clip_norm),
-        )
-    if parser.has_section("output"):
-        s = parser["output"]
-        cfg.out_dir = s.get("dir", cfg.out_dir)
-        cfg.save_models = s.getboolean("save_models", cfg.save_models)
-    if parser.has_section("run"):
-        cfg.seed = parser["run"].getint("seed", cfg.seed)
-    return cfg.validate()
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{section}], expected one of {', '.join(_SECTIONS)}")
+        attr, fields = _SECTIONS[section]
+        target = getattr(cfg, attr) if attr else cfg
+        changes = {}
+        for key in parser[section]:
+            if key not in fields:
+                raise ConfigError(
+                    f"{path}: [{section}] unknown key {key!r}, expected one of {', '.join(fields)}"
+                )
+            try:
+                changes[fields[key]] = _parse(parser, section, key, getattr(target, fields[key]))
+            except (ValueError, DataError, configparser.Error) as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+        if section == "split" and changes.get("cutoff_fraction") is None:
+            # a cutoff alone replaces the default fraction
+            changes["cutoff_fraction"] = None if changes.get("cutoff") is not None else target.cutoff_fraction
+        try:
+            target = replace(target, **changes)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from None
+        if attr:
+            setattr(cfg, attr, target)
+        else:
+            cfg = target
+    try:
+        return cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 EXAMPLE = """\
@@ -242,7 +209,8 @@ trend = alternate         ; alternate | up | down
 reversion_pips = 250      ; price-level pull toward start_price; 0 disables
 
 [split]
-cutoff_fraction = 0.8     ; or: cutoff = 2019-01-01T00:00:00Z (epoch seconds also accepted)
+cutoff_fraction = 0.8     ; share of the series span before the cutoff
+# cutoff = 2019-01-01T00:00:00Z ; instead of cutoff_fraction (epoch seconds also accepted)
 
 [indicators]
 macd_fast = 12

@@ -35,7 +35,10 @@ def format_rows(keys, values: np.ndarray, blank_nonfinite: bool = False) -> str:
 
 
 def write_table(path, header, keys: np.ndarray, values: np.ndarray, blank_nonfinite: bool = False) -> None:
-    """Write `header`, then one line per row: the integer key followed by the row of `values`."""
+    """Write `header`, then one line per row: its key followed by the row of `values`.
+
+    A key is an integer, or a string of leading fields already joined by commas.
+    """
     keys = np.asarray(keys).tolist()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

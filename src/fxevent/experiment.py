@@ -9,7 +9,6 @@ identical runs produce byte-identical output trees.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 from . import dataset as ds_mod
 from . import events as ev_mod
 from .config import ExperimentConfig
+from .csvio import write_table
 from .errors import ConfigError
 from .indicators import ema, feature_matrix
 from .market_data import CandleSeries, load_csv, synthetic_series
@@ -53,22 +53,15 @@ def baseline_persistence(ds: ds_mod.Dataset, series: CandleSeries) -> np.ndarray
 def emit_predictions(samples, true, pred, path) -> None:
     """Per-sample prediction CSV ordered by crossover time; enough to re-plot
     predicted-vs-real curves with any tool."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["e2_timestamp", "e3_timestamp", "true_price", "predicted_price", "abs_error", "pct_error"]
-        )
-        for s, t, p in zip(samples, true, pred):
-            writer.writerow(
-                [
-                    s.e2_ts,
-                    s.e3_ts,
-                    repr(float(t)),
-                    repr(float(p)),
-                    repr(abs(float(t) - float(p))),
-                    repr(abs(float(t) - float(p)) / float(t) * 100.0),
-                ]
-            )
+    true = np.asarray(true, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    abs_error = np.abs(true - pred)
+    write_table(
+        path,
+        ["e2_timestamp", "e3_timestamp", "true_price", "predicted_price", "abs_error", "pct_error"],
+        [f"{s.e2_ts},{s.e3_ts}" for s in samples],
+        np.column_stack([true, pred, abs_error, abs_error / true * 100.0]),
+    )
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""OHLC candle series: CSV ingestion and validation, date splits, synthetic generation.
+"""OHLC candle series: CSV ingestion and validation, synthetic generation.
 
 Timestamps are integer epoch seconds (UTC). Bar spacing is not enforced beyond
 strictly increasing order, so session gaps (weekends) pass through untouched.
@@ -7,7 +7,6 @@ strictly increasing order, so session gaps (weekends) pass through untouched.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import inf, isfinite
@@ -19,15 +18,6 @@ from .csvio import write_table
 from .errors import ConfigError, DataError
 
 DEFAULT_PIP_SIZE = 1e-4
-
-
-@dataclass(frozen=True)
-class Candle:
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
 
 
 @dataclass(frozen=True)
@@ -53,26 +43,6 @@ class CandleSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> Candle:
-        return Candle(
-            int(self.timestamps[i]),
-            float(self.opens[i]),
-            float(self.highs[i]),
-            float(self.lows[i]),
-            float(self.closes[i]),
-        )
-
-    @property
-    def candles(self) -> list[Candle]:
-        return [self[i] for i in range(len(self))]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological cutoff: bars strictly before `cutoff_timestamp` form the training half."""
-
-    cutoff_timestamp: int
 
 
 def make_series(symbol, pip_size, timestamps, opens, highs, lows, closes, source="<memory>") -> CandleSeries:
@@ -178,35 +148,6 @@ def save_csv(series: CandleSeries, path) -> None:
     write_table(path, ["timestamp", "open", "high", "low", "close"], series.timestamps, prices)
 
 
-def _subset(series: CandleSeries, mask: np.ndarray) -> CandleSeries:
-    return CandleSeries(
-        series.symbol,
-        series.pip_size,
-        series.timestamps[mask].copy(),
-        series.opens[mask].copy(),
-        series.highs[mask].copy(),
-        series.lows[mask].copy(),
-        series.closes[mask].copy(),
-    )
-
-
-def split_by_date(series: CandleSeries, spec: SplitSpec) -> tuple[CandleSeries, CandleSeries]:
-    """Split into (train, test): train holds bars with timestamp < cutoff, test the rest.
-
-    An empty half is legal (cutoff outside the series range) and only warns.
-    """
-    mask = series.timestamps < spec.cutoff_timestamp
-    train, test = _subset(series, mask), _subset(series, ~mask)
-    if len(train) == 0 or len(test) == 0:
-        warnings.warn(
-            f"degenerate split at cutoff={spec.cutoff_timestamp}: "
-            f"train={len(train)} test={len(test)} bars",
-            UserWarning,
-            stacklevel=2,
-        )
-    return train, test
-
-
 @dataclass(frozen=True)
 class RegimeParams:
     """Synthetic generator knobs.
@@ -219,7 +160,7 @@ class RegimeParams:
     """
 
     start_price: float = 1.10
-    pip: float = 1e-4
+    pip: float = DEFAULT_PIP_SIZE
     leg_len: tuple[int, int] = (36, 62)  # bars per trend leg, inclusive range
     slope_pips: tuple[float, float] = (1.2, 2.5)  # per-bar drift magnitude
     notch_frac: tuple[float, float] = (0.38, 0.52)  # leg fraction where the dip starts
@@ -234,6 +175,9 @@ class RegimeParams:
     bar_seconds: int = 900
 
     def __post_init__(self):
+        for name in ("leg_len", "slope_pips", "notch_frac", "notch_retrace"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} expects two values (low, high), got {getattr(self, name)}")
         if self.start_price <= 0 or self.pip <= 0:
             raise ConfigError("start_price and pip must be > 0")
         if not (1 <= self.leg_len[0] <= self.leg_len[1]):

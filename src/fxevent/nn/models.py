@@ -418,9 +418,12 @@ class RecurrentModel:
             # the bottom layer's input gradient would only be thrown away
             dseq = self.layers[depth].backward(dseq, need_dx=depth > 0)
 
-    def forward(self, window: np.ndarray) -> float:
-        """Single window -> scalar prediction."""
-        return float(self.forward_batch(np.asarray(window)[None])[0])
+    def _drop_caches(self) -> None:
+        """Release the forward caches, which only backward_batch reads."""
+        for layer in self.layers:
+            for cell in (layer.fwd, layer.bwd) if isinstance(layer, BidirectionalLayer) else (layer,):
+                cell._cache = None
+        self.head._x = None
 
 
 def loss_closures(model: RecurrentModel, windows: np.ndarray, targets: np.ndarray):
@@ -512,6 +515,9 @@ def train(
 
     for p, v in zip(params, best_values):
         p.value[...] = v
+    # once here, not after each validation pass: freeing the caches every epoch
+    # made the next batch fault their pages in again
+    model._drop_caches()
     if train_ds.norm_fingerprint is not None:
         model.stats_fingerprint = train_ds.norm_fingerprint
     report.wall_time_s = time.perf_counter() - started
@@ -534,7 +540,9 @@ def predict(model: RecurrentModel, ds: Dataset, stats: NormStats) -> np.ndarray:
         )
     if len(ds) == 0:
         return np.zeros(0)
-    return invert_target(model.forward_batch(ds.windows()), stats)
+    pred = model.forward_batch(ds.windows())
+    model._drop_caches()
+    return invert_target(pred, stats)
 
 
 _MODEL_MAGIC = "fxevent-model v2"

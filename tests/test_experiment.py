@@ -1,13 +1,30 @@
+import configparser
+import csv
+import io
 import json
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fxevent.cli import main
-from fxevent.config import ExperimentConfig, GridConfig, load_config, write_example
+from fxevent import config as config_mod
+from fxevent.cli import _load_stats, main
+from fxevent.config import (
+    EXAMPLE,
+    DataConfig,
+    EventConfig,
+    ExperimentConfig,
+    GridConfig,
+    ModelArch,
+    SplitConfig,
+    load_config,
+    write_example,
+)
 from fxevent.dataset import Dataset, Sample
 from fxevent.errors import ConfigError
+from fxevent.events import RetraceParams, ZigZagParams
 from fxevent.experiment import (
     baseline_persistence,
     cell_seed,
@@ -15,6 +32,9 @@ from fxevent.experiment import (
     resolve_cutoff,
     run_experiment,
 )
+from fxevent.indicators import IndicatorParams
+from fxevent.market_data import RegimeParams
+from fxevent.nn.models import TrainHyper
 
 
 def fast_config(tmp_path, kinds=("lstm",), timesteps=(30,), n=2600, max_epochs=4):
@@ -112,6 +132,25 @@ class TestEmitPredictions:
             assert float(cols[4]) == pytest.approx(abs(t - p), rel=1e-15)
             assert float(cols[5]) == pytest.approx(abs(t - p) / t * 100, rel=1e-15)
 
+    def test_bytes_match_csv_writer(self, tmp_path, rng):
+        samples = tuple(
+            Sample(rng.normal(size=(3, 2)), 1.1, i, i + 1, 10**9 + i, 10**9 + 60 * i) for i in range(200)
+        )
+        true = rng.uniform(0.5, 2.0, size=200)
+        pred = true + rng.normal(0.0, 0.01, size=200) * rng.integers(0, 2, size=200)  # some exact hits
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(
+            ["e2_timestamp", "e3_timestamp", "true_price", "predicted_price", "abs_error", "pct_error"]
+        )
+        for s, t, p in zip(samples, true, pred):
+            err = abs(float(t) - float(p))
+            writer.writerow(
+                [s.e2_ts, s.e3_ts, repr(float(t)), repr(float(p)), repr(err), repr(err / float(t) * 100.0)]
+            )
+        emit_predictions(samples, true, pred, tmp_path / "pred.csv")
+        assert (tmp_path / "pred.csv").read_bytes() == out.getvalue().encode()
+
     def test_mape_reaggregates_from_file(self, tmp_path, rng):
         from fxevent.metrics import mape
 
@@ -205,18 +244,129 @@ class TestResolveCutoff:
         assert resolve_cutoff(synth, cfg) == 12345
 
 
+ALL_KEYS = """\
+[data]
+source = csv
+csv = x.csv
+symbol = EURUSD
+pip_size = 1e-2
+seed = 3
+n = 1234
+[regime]
+start_price = 2.5
+pip = 1e-3
+leg_len = 10,20
+slope_pips = 1.5,3.0
+notch_frac = 0.3,0.6
+notch_retrace = 0.5,0.7
+notch_down_bars = 2
+notch_recover_bars = 4
+noise_pips = 0.5
+wick_pips = 0.2
+trend = up
+reversion_pips = 100
+[split]
+cutoff = 2021-01-01T00:00:00Z
+[indicators]
+macd_fast = 10
+macd_slow = 30
+macd_signal = 7
+boll_window = 15
+boll_k = 1.5
+sma_periods = 3,6
+rsi_periods = 7
+adx_periods = 9, 11
+wr_periods = 8
+[zigzag]
+depth = 8
+deviation_pips = 3.5
+backstep = 2
+[crossover]
+fast = 4
+slow = 15
+[events]
+causal_filter = true
+[retracement]
+local_radius = 2
+lookahead = 40
+[grid]
+kinds = lstm, gru
+timesteps = 20
+[model]
+layers = 1
+hidden = 16
+val_fraction = 0.2
+[training]
+lr = 0.01
+batch_size = 16
+max_epochs = 7
+patience = 3
+clip_norm = 1.0
+[output]
+dir = somewhere
+save_models = true
+[run]
+seed = 9
+"""
+
+
 class TestConfigFile:
     def test_example_round_trips(self, tmp_path):
         path = tmp_path / "config.example"
         write_example(path)
-        cfg = load_config(path)
-        defaults = ExperimentConfig()
-        assert cfg.zigzag == defaults.zigzag
-        assert cfg.indicators == defaults.indicators
-        assert cfg.regime == defaults.regime
-        assert cfg.grid == defaults.grid
-        assert cfg.training == defaults.training
-        assert cfg.seed == defaults.seed
+        assert asdict(load_config(path)) == asdict(ExperimentConfig())
+
+    def test_example_lists_every_key(self):
+        # the example's commented-out alternatives count as listed
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(re.sub(r"(?m)^# (\w+ =)", r"\1", EXAMPLE))
+        listed = {(s, k) for s in parser.sections() for k in parser[s]}
+        accepted = {(s, k) for s, (_, keys) in config_mod._SECTIONS.items() for k in keys}
+        assert listed == accepted
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(ALL_KEYS)
+        expected = ExperimentConfig(
+            data=DataConfig("csv", "x.csv", "EURUSD", 1e-2, 3, 1234),
+            regime=RegimeParams(
+                2.5, 1e-3, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
+            ),
+            split=SplitConfig(cutoff=1609459200, cutoff_fraction=None),
+            indicators=IndicatorParams(10, 30, 7, 15, 1.5, (3, 6), (7,), (9, 11), (8,)),
+            zigzag=ZigZagParams(8, 3.5, 2),
+            events=EventConfig(4, 15, True),
+            retrace=RetraceParams(2, 40),
+            grid=GridConfig(("lstm", "gru"), (20,)),
+            arch=ModelArch(1, 16, 0.2),
+            training=TrainHyper(lr=0.01, batch_size=16, max_epochs=7, patience=3, clip_norm=1.0),
+            out_dir="somewhere",
+            seed=9,
+            save_models=True,
+        )
+        assert asdict(load_config(path)) == asdict(expected)
+        path.write_text(ALL_KEYS.replace("cutoff = 2021-01-01T00:00:00Z", "cutoff_fraction = 0.7"))
+        assert load_config(path).split == SplitConfig(cutoff=None, cutoff_fraction=0.7)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[grdi]\nkinds = lstm\n", r"unknown section \[grdi\]"),
+            ("[training]\nmax_epoch = 5\n", r"\[training\] unknown key 'max_epoch'"),
+            ("[training]\nlr = fast\n", r"\[training\] lr: "),
+            ("[events]\ncausal_filter = maybe\n", r"\[events\] causal_filter: "),
+            ("[grid]\ntimesteps = 30,x\n", r"\[grid\] timesteps: "),
+            ("[split]\ncutoff = soon\n", r"\[split\] cutoff: "),
+            ("[regime]\nleg_len = 5,6,7\n", r"\[regime\] leg_len expects two values"),
+        ],
+    )
+    def test_bad_input_names_file_section_and_key(self, tmp_path, capsys, text, match):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path)) + ": " + match):
+            load_config(path)
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -297,6 +447,19 @@ class TestCli:
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["features", "--csv", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "f.csv")]) == 2
+
+    def test_missing_dataset_exit_code(self, tmp_path, capsys):
+        assert main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text", ['{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}', "{not json"]
+    )
+    def test_malformed_stats_names_file(self, tmp_path, text):
+        path = tmp_path / "m.stats.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            _load_stats(path)
 
     def test_failed_cell_gives_nonzero_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

@@ -5,11 +5,9 @@ from fxevent.errors import ConfigError, DataError
 from fxevent.market_data import (
     CandleSeries,
     RegimeParams,
-    SplitSpec,
     load_csv,
     make_series,
     save_csv,
-    split_by_date,
     synthetic_series,
 )
 
@@ -36,7 +34,7 @@ class TestLoadCsv:
         assert len(series) == 4
         assert np.all(np.diff(series.timestamps) > 0)
         assert series.symbol == "EUR/GBP"
-        assert series[0].close == 1.1
+        assert series.closes[0] == 1.1
 
     def test_iso_timestamps(self, tmp_path):
         path = write(
@@ -132,33 +130,6 @@ class TestLoadCsv:
         assert np.all(back.lows > 0)
 
 
-class TestSplitByDate:
-    def test_cutoff_before_first(self, walk):
-        with pytest.warns(UserWarning, match="degenerate"):
-            train, test = split_by_date(walk, SplitSpec(int(walk.timestamps[0]) - 1))
-        assert len(train) == 0
-        assert len(test) == len(walk)
-
-    def test_cutoff_after_last(self, walk):
-        with pytest.warns(UserWarning, match="degenerate"):
-            train, test = split_by_date(walk, SplitSpec(int(walk.timestamps[-1]) + 1))
-        assert len(train) == len(walk)
-        assert len(test) == 0
-
-    def test_interior_cutoff_partitions(self, rng):
-        for _ in range(20):
-            series = random_walk_series(rng, int(rng.integers(10, 200)))
-            cutoff = int(rng.choice(series.timestamps))
-            train, test = split_by_date(series, SplitSpec(cutoff))
-            assert len(train) + len(test) == len(series)
-            if len(train):
-                assert train.timestamps.max() < cutoff
-            if len(test):
-                assert test.timestamps.min() >= cutoff
-            rejoined = np.concatenate([train.timestamps, test.timestamps])
-            assert np.array_equal(rejoined, series.timestamps)
-
-
 class TestSyntheticSeries:
     def test_deterministic(self):
         a = synthetic_series(99, 800)
@@ -190,6 +161,8 @@ class TestSyntheticSeries:
     def test_regime_validation(self):
         with pytest.raises(ConfigError):
             RegimeParams(leg_len=(0, 10))
+        with pytest.raises(ConfigError, match="leg_len expects two values"):
+            RegimeParams(leg_len=(5, 6, 7))
         with pytest.raises(ConfigError):
             RegimeParams(slope_pips=(0.0, 1.0))
         with pytest.raises(ConfigError):

@@ -154,7 +154,7 @@ class TestModelForward:
                 p.value[...] = 0.0
             model.head.b.value[...] = 0.7321
             window = rng.normal(size=(4, 3))
-            assert model.forward(window) == pytest.approx(0.7321, abs=1e-15)
+            assert model.forward_batch(window[None])[0] == pytest.approx(0.7321, abs=1e-15)
 
     def test_bilstm_head_width(self):
         cfg = ModelConfig(kind="bilstm", n_timesteps=4, input_dim=3, layers=2, hidden=5, seed=1)
@@ -165,7 +165,7 @@ class TestModelForward:
         cfg = ModelConfig(kind="lstm", n_timesteps=5, input_dim=4, layers=2, hidden=3, seed=9)
         model = RecurrentModel(cfg)
         window = rng.normal(size=(5, 4))
-        got = model.forward(window)
+        got = model.forward_batch(window[None])[0]
 
         x = window[:, None]  # time-major, batch of one
         for layer in model.layers:
@@ -178,7 +178,7 @@ class TestModelForward:
         model = RecurrentModel(cfg)
         X = rng.normal(size=(7, 6, 5))
         whole = model.forward_batch(X)
-        singles = np.array([model.forward(X[i]) for i in range(7)])
+        singles = np.array([model.forward_batch(X[i][None])[0] for i in range(7)])
         pairs = np.concatenate([model.forward_batch(X[:3]), model.forward_batch(X[3:])])
         assert np.max(np.abs(whole - singles)) < 1e-12
         assert np.max(np.abs(whole - pairs)) < 1e-12
@@ -418,9 +418,27 @@ class TestPredict:
         pred = predict(model, normed, stats)
         assert pred.shape == (17,)
         manual = np.array(
-            [invert_target(model.forward(s.window), stats) for s in normed.samples]
+            [invert_target(model.forward_batch(s.window[None])[0], stats) for s in normed.samples]
         )
         assert np.max(np.abs(pred - manual)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["rnn", "bilstm"])
+    def test_no_cache_left_after_train_and_predict(self, rng, kind):
+        raw, normed, stats = self._normed(rng)
+        cfg = ModelConfig(kind=kind, n_timesteps=6, input_dim=5, layers=2, hidden=3, seed=0)
+
+        def cached(model):
+            cells = []
+            for layer in model.layers:
+                cells += [layer.fwd, layer.bwd] if kind == "bilstm" else [layer]
+            return [c.W.name for c in cells if c._cache is not None] + ["head"] * (model.head._x is not None)
+
+        model, report = train(normed, 0.2, cfg, TrainHyper(max_epochs=2))
+        assert report.val_losses and cached(model) == []
+        model.forward_batch(normed.windows())
+        assert cached(model) != []
+        predict(model, normed, stats)
+        assert cached(model) == []
 
     def test_fingerprint_mismatch_rejected(self, rng):
         raw, normed, stats = self._normed(rng)
