@@ -147,9 +147,13 @@ def _load_stats(path):
 
 def cmd_evaluate(args):
     model = load_model(args.model)
-    stats = _load_stats(args.stats or Path(args.model).with_suffix(".stats.json"))
+    stats_path = args.stats or Path(args.model).with_suffix(".stats.json")
+    stats = _load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
-    normed = ds_mod.apply_norm(ds, stats)
+    try:
+        normed = ds_mod.apply_norm(ds, stats)
+    except ConfigError as exc:
+        raise ConfigError(f"{stats_path}: {exc}") from None
     pred = predict(model, normed, stats)
     true = ds.targets()
     report = MetricsReport.compute(model.config.kind, ds.n_timesteps, true, pred)

@@ -151,6 +151,12 @@ def fit_normalizer(train: Dataset) -> NormStats:
 
 def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
     """Z-score features and targets; the result carries the stats fingerprint."""
+    n_feat = ds.samples[0].window.shape[1] if ds.samples else None
+    if n_feat is not None and not len(stats.feature_mean) == len(stats.feature_std) == n_feat:
+        raise ConfigError(
+            f"stats hold {len(stats.feature_mean)} feature means and {len(stats.feature_std)} "
+            f"feature stds, but the windows have {n_feat} features"
+        )
     samples = tuple(
         replace(
             s,

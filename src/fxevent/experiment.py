@@ -5,11 +5,25 @@ train or test split by the timestamp of its crossover bar. Metrics are computed
 on raw prices after inverting the target normalization. All emitted files are
 deterministic for a fixed config (wall-clock timings never reach disk), so two
 identical runs produce byte-identical output trees.
+
+Grid cells train in worker processes, one per usable CPU (fewer when fewer
+cells train), each a fresh interpreter with one BLAS thread that trains and
+predicts the cells it is handed. The parent writes every file, in grid order,
+so the output tree does not depend on the worker count or on which cell
+finishes first. With one usable CPU the cells train in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,7 +37,7 @@ from .errors import ConfigError
 from .indicators import ema, feature_matrix
 from .market_data import CandleSeries, load_csv, synthetic_series
 from .metrics import MetricsReport
-from .nn.models import ModelConfig, predict, save_model, train
+from .nn.models import _CELLS, ModelConfig, predict, save_model, train
 
 _KIND_CODES = {"rnn": 1, "lstm": 2, "bilstm": 3, "gru": 4}
 
@@ -150,6 +164,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         result.persistence[n] = MetricsReport.compute("persistence", n, entry["true"], persist)
         per_n[n] = entry
 
+    runnable = []  # (cell, entry, task) for every cell that trains
     for kind in cfg.grid.kinds:
         for n in cfg.grid.timesteps:
             seed = cell_seed(cfg.seed, kind, n)
@@ -170,27 +185,143 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     hidden=cfg.arch.hidden,
                     seed=seed,
                 )
-                model, report = train(entry["train_ds"], cfg.arch.val_fraction, mc, cfg.training)
-                pred = predict(model, entry["test_ds"], entry["stats"])
-                cell.metrics = MetricsReport.compute(kind, n, entry["true"], pred)
-                cell.best_epoch = report.best_epoch
-                cell.epochs_run = report.epochs_run
-                emit_predictions(
-                    entry["test_raw"].samples,
-                    entry["true"],
-                    pred,
-                    out_dir / f"predictions_{kind}_{n}.csv",
-                )
-                _write_train_report(report, out_dir / f"train_report_{kind}_{n}.json")
-                if cfg.save_models:
-                    models_dir = out_dir / "models"
-                    models_dir.mkdir(exist_ok=True)
-                    save_model(model, models_dir / f"{kind}_{n}.model.txt")
-            except Exception as exc:  # isolate the failing grid cell
+            except ConfigError as exc:
                 cell.error = f"{type(exc).__name__}: {exc}"
+                continue
+            task = (entry["train_ds"], entry["test_ds"], entry["stats"], mc, cfg.training,
+                    cfg.arch.val_fraction, cfg.save_models)
+            runnable.append((cell, entry, task))
+
+    outcomes = _run_cells([task for _, _, task in runnable])
+    for (cell, entry, _), (error, report, pred, model) in zip(runnable, outcomes):
+        cell.error = error
+        if error is not None:
+            continue
+        try:
+            cell.metrics = MetricsReport.compute(cell.kind, cell.n_timesteps, entry["true"], pred)
+            cell.best_epoch = report.best_epoch
+            cell.epochs_run = report.epochs_run
+            stem = f"{cell.kind}_{cell.n_timesteps}"
+            emit_predictions(
+                entry["test_raw"].samples, entry["true"], pred, out_dir / f"predictions_{stem}.csv"
+            )
+            _write_train_report(report, out_dir / f"train_report_{stem}.json")
+            if cfg.save_models:
+                models_dir = out_dir / "models"
+                models_dir.mkdir(exist_ok=True)
+                save_model(model, models_dir / f"{stem}.model.txt")
+        except Exception as exc:  # isolate the failing grid cell
+            cell.error = f"{type(exc).__name__}: {exc}"
 
     _write_reports(cfg, result, per_n)
     return result
+
+
+def _train_cell(task) -> tuple:
+    """Train and predict one grid cell: (error, TrainReport, predictions, model or None)."""
+    train_ds, test_ds, stats, mc, hyper, val_fraction, keep_model = task
+    try:
+        model, report = train(train_ds, val_fraction, mc, hyper)
+        pred = predict(model, test_ds, stats)
+    except Exception as exc:  # isolate the failing grid cell
+        return f"{type(exc).__name__}: {exc}", None, None, None
+    return None, report, pred, model if keep_model else None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cost(mc: ModelConfig) -> int:
+    """Steps x gate blocks x directions, which orders the cells by training time."""
+    return mc.n_timesteps * len(_CELLS[mc.cell].GATES) * (2 if mc.bidirectional else 1)
+
+
+def _run_cells(tasks: list) -> list:
+    """_train_cell over tasks, returned in task order.
+
+    With more than one usable CPU and task, each of min(CPUs, tasks) worker
+    processes pulls the longest task left whenever it is idle. A worker that
+    dies fails the task it held, and a fresh one takes its place while tasks
+    are left. Every worker has been waited for when this returns or raises.
+    """
+    n_workers = min(_usable_cpus(), len(tasks))
+    if n_workers <= 1:
+        return [_train_cell(task) for task in tasks]
+    pending = deque(sorted(range(len(tasks)), key=lambda i: -_cost(tasks[i][3])))
+    results = [None] * len(tasks)
+    # One BLAS thread per worker, so the workers do not share cores. The path
+    # entry is the directory holding this fxevent, which a caller may have
+    # put on sys.path rather than installed.
+    package_root = str(Path(__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH")))),
+    )
+    command = [sys.executable, "-c", "from fxevent.experiment import _serve; _serve()"]
+    workers = []
+
+    def start():
+        proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        workers.append(proc)
+        return proc
+
+    def died(proc, i):  # the worker ended without a whole result for task i
+        with contextlib.suppress(BrokenPipeError):
+            proc.stdin.close()  # a worker still running ends at end of input
+        results[i] = (f"worker exited with code {proc.wait()}", None, None, None)
+        if pending:
+            idle.append(start())
+
+    try:
+        idle = [start() for _ in range(n_workers)]
+        running = {}  # worker stdout fd -> (worker, task index)
+        while pending or running:
+            while idle and pending:
+                proc, i = idle.pop(), pending.popleft()
+                try:
+                    pickle.dump(tasks[i], proc.stdin)
+                    proc.stdin.flush()
+                except BrokenPipeError:
+                    died(proc, i)
+                    continue
+                running[proc.stdout.fileno()] = (proc, i)
+            ready, _, _ = select.select(list(running), [], [])
+            for fd in ready:
+                proc, i = running.pop(fd)
+                try:
+                    results[i] = pickle.load(proc.stdout)
+                except (EOFError, pickle.UnpicklingError):  # no result, or a truncated one
+                    died(proc, i)
+                else:
+                    idle.append(proc)
+    finally:
+        for proc in workers:
+            proc.kill()  # idle or not, no worker has anything left to give
+            proc.wait()
+            proc.stdout.close()
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+    return results
+
+
+def _serve() -> None:
+    """Worker loop: each pickled task on stdin is answered with _train_cell's pickled result on stdout."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
+    tasks = sys.stdin.buffer
+    results = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # anything else written to stdout goes to stderr, not into the results
+    while True:
+        try:
+            task = pickle.load(tasks)
+        except EOFError:
+            return
+        pickle.dump(_train_cell(task), results)
+        results.flush()
 
 
 def _write_train_report(report, path) -> None:
@@ -202,6 +333,12 @@ def _write_train_report(report, path) -> None:
         "epochs_run": report.epochs_run,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _environment() -> dict:
+    """What replay depends on besides the config: the numpy version and its BLAS library."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name", "?")}
 
 
 def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict) -> None:
@@ -222,6 +359,7 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict)
             "seed": cfg.seed,
         },
         "diagnostics": result.diagnostics,
+        "environment": _environment(),
         "datasets": {
             str(n): {k: v for k, v in entry.items() if k in ("skipped", "train", "test", "error")}
             for n, entry in per_n.items()

@@ -22,7 +22,12 @@ DEFAULT_PIP_SIZE = 1e-4
 
 @dataclass(frozen=True)
 class CandleSeries:
-    """Validated, immutable OHLC series backed by parallel numpy arrays."""
+    """Validated, immutable OHLC series backed by parallel numpy arrays.
+
+    Timestamps must be strictly increasing, every price finite, and every bar
+    must satisfy high >= max(open, close), low <= min(open, close) and low > 0.
+    A violation raises DataError naming the bar's timestamp.
+    """
 
     symbol: str
     pip_size: float
@@ -40,17 +45,29 @@ class CandleSeries:
             if arr.ndim != 1 or len(arr) != len(self.timestamps):
                 raise DataError(f"field {name} misaligned with timestamps")
             arr.setflags(write=False)
+        ts, o, h, l, c = self.timestamps, self.opens, self.highs, self.lows, self.closes
+        back = np.nonzero(np.diff(ts) <= 0)[0]
+        if back.size:
+            i = int(back[0]) + 1
+            raise DataError(f"timestamps not strictly increasing at ts={int(ts[i])} (after {int(ts[i - 1])})")
+        nonfinite = np.nonzero(~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)))[0]
+        if nonfinite.size:
+            i = int(nonfinite[0])
+            raise DataError(f"non-finite price at ts={int(ts[i])} (o={o[i]} h={h[i]} l={l[i]} c={c[i]})")
+        bad = np.nonzero((h < np.maximum(o, c)) | (l > np.minimum(o, c)) | (l <= 0))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(f"OHLC invariant violated at ts={int(ts[i])} (o={o[i]} h={h[i]} l={l[i]} c={c[i]})")
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
 
 def make_series(symbol, pip_size, timestamps, opens, highs, lows, closes, source="<memory>") -> CandleSeries:
-    """Build a CandleSeries from arrays, sorting by timestamp and enforcing all invariants.
+    """Build a CandleSeries from arrays, sorting by timestamp; errors name `source`.
 
     Out-of-order rows are sorted (benign export artifact); duplicate timestamps are
-    rejected (ambiguous). Every price must be finite, and every bar must satisfy
-    high >= max(open, close), low <= min(open, close) and all prices > 0.
+    rejected (ambiguous). The CandleSeries constructor then checks the prices.
     """
     ts = np.asarray(timestamps, dtype=np.int64)
     o = np.asarray(opens, dtype=np.float64)
@@ -66,20 +83,10 @@ def make_series(symbol, pip_size, timestamps, opens, highs, lows, closes, source
     dup = np.nonzero(np.diff(ts) == 0)[0]
     if dup.size:
         raise DataError(f"{source}: duplicate timestamp {int(ts[dup[0]])}")
-
-    nonfinite = np.nonzero(~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)))[0]
-    if nonfinite.size:
-        i = int(nonfinite[0])
-        raise DataError(f"{source}: non-finite price at ts={int(ts[i])} (o={o[i]} h={h[i]} l={l[i]} c={c[i]})")
-
-    bad = np.nonzero((h < np.maximum(o, c)) | (l > np.minimum(o, c)) | (l <= 0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(
-            f"{source}: OHLC invariant violated at ts={int(ts[i])} "
-            f"(o={o[i]} h={h[i]} l={l[i]} c={c[i]})"
-        )
-    return CandleSeries(symbol, float(pip_size), ts, o, h, l, c)
+    try:
+        return CandleSeries(symbol, float(pip_size), ts, o, h, l, c)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def parse_timestamp(text: str) -> int:

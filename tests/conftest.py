@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ def random_walk_series(rng, n, start=1.10, vol_pips=8.0, pip=1e-4, symbol="RND")
     lows = np.minimum(opens, closes) - np.abs(rng.normal(0.0, 2 * pip, size=n))
     ts = 1_600_000_000 + 900 * np.arange(n, dtype=np.int64)
     return CandleSeries(symbol, pip, ts, opens, highs, lows, closes)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that returns while this process still has a child, running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process behind (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture

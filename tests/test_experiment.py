@@ -2,6 +2,7 @@ import configparser
 import csv
 import io
 import json
+import os
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from fxevent import config as config_mod
+from fxevent import experiment
 from fxevent.cli import _load_stats, main
 from fxevent.config import (
     EXAMPLE,
@@ -227,6 +229,74 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert 30 in result.persistence
         assert result.persistence[30].mape > 0
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def run_on_cpus(monkeypatch, cfg, cpus):
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    return run_experiment(cfg)
+
+
+def with_task(monkeypatch, cell, index, value):
+    """Replace field `index` of the task of the (kind, n_timesteps) `cell` before the cells run."""
+    run_cells = experiment._run_cells
+
+    def patched(tasks):
+        return run_cells([
+            t[:index] + (value,) + t[index + 1 :] if (t[3].kind, t[3].n_timesteps) == cell else t for t in tasks
+        ])
+
+    monkeypatch.setattr(experiment, "_run_cells", patched)
+
+
+class _ExitOnLoad:
+    """Unpickling this ends the process that unpickles it with exit code 3."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+class TestWorkers:
+    def test_tree_identical_for_one_and_two_workers(self, tmp_path, monkeypatch):
+        trees = []
+        for cpus in (1, 2):
+            cfg = fast_config(tmp_path / str(cpus), kinds=("rnn", "lstm", "bilstm", "gru"),
+                              timesteps=(30, 60), max_epochs=2)
+            cfg.arch.hidden = 64
+            cfg.save_models = True
+            result = run_on_cpus(monkeypatch, cfg, cpus)
+            assert not result.failed
+            trees.append(tree_bytes(cfg.out_dir))
+        assert len(trees[0]) == 8 * 3 + 3  # predictions, train report and model per cell; 3 reports
+        assert trees[0].keys() == trees[1].keys()
+        for name in trees[0]:
+            assert trees[0][name] == trees[1][name], name
+
+    def test_cell_error_same_in_worker_as_in_process(self, tmp_path, monkeypatch):
+        with_task(monkeypatch, ("gru", 30), 5, 1.5)  # val_fraction out of range: train raises
+        errors = []
+        for cpus in (1, 2):
+            cfg = fast_config(tmp_path / str(cpus), kinds=("rnn", "gru", "lstm"), max_epochs=1)
+            result = run_on_cpus(monkeypatch, cfg, cpus)
+            errors.append({c.kind: c.error for c in result.cells})
+        assert errors[0] == errors[1]
+        assert errors[1] == {"rnn": None, "lstm": None,
+                             "gru": "ConfigError: val_fraction must be in [0, 1), got 1.5"}
+
+    @pytest.mark.parametrize("dead", [[("lstm", 30)], [("lstm", 30), ("gru", 30)]])
+    def test_dead_worker_fails_only_its_cell(self, tmp_path, monkeypatch, dead):
+        for cell in dead:  # the longest cells, so every first worker can die
+            with_task(monkeypatch, cell, 4, _ExitOnLoad())
+        cfg = fast_config(tmp_path, kinds=("rnn", "lstm", "gru"), timesteps=(20, 30), max_epochs=1)
+        result = run_on_cpus(monkeypatch, cfg, 2)
+        errors = {(c.kind, c.n_timesteps): c.error for c in result.cells}
+        assert [errors.pop(cell) for cell in dead] == ["worker exited with code 3"] * len(dead)
+        assert set(errors.values()) == {None}
+        report = json.loads((Path(cfg.out_dir) / "report.json").read_text())
+        assert len(report["cells"]) == 6 - len(dead)
 
 
 class TestResolveCutoff:
@@ -451,6 +521,24 @@ class TestCli:
     def test_missing_dataset_exit_code(self, tmp_path, capsys):
         assert main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "m.txt")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_stats_feature_count_mismatch(self, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
+        main(["dataset", "--csv", str(series_csv), "--timesteps", "16", "--out", str(tmp_path / "ds")])
+        model_path = tmp_path / "m.model.txt"
+        main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
+              "--epochs", "1", "--out", str(model_path)])
+        stats_path = tmp_path / "five.stats.json"
+        stats_path.write_text(json.dumps(
+            {"feature_mean": [0.0] * 5, "feature_std": [1.0] * 5, "target_mean": 1.1, "target_std": 0.01}
+        ))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model_path), "--stats", str(stats_path),
+                     "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stats_path}: ")
+        assert "5 feature means" in err and "28 features" in err
 
     @pytest.mark.parametrize(
         "text", ['{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}', "{not json"]

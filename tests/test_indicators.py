@@ -263,9 +263,9 @@ class TestFeatureMatrix:
 
         n = 200
         closes = np.linspace(1.0, 1.2, n)
-        closes[150] = np.inf  # CandleSeries itself does not check prices; make_series does
+        closes[150] = 1e300  # a valid bar whose squared deviation overflows the Bollinger std
         series = CandleSeries("X", 1e-4, np.arange(n, dtype=np.int64), closes, closes, closes, closes)
-        with pytest.raises(DataError, match="macd is not finite at bar 150"):
+        with pytest.raises(DataError, match="boll_lower is not finite at bar 150"), np.errstate(over="ignore"):
             feature_matrix(series)
 
     def test_short_series_warns(self):

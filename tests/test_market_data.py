@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,32 @@ class TestMakeSeries:
         columns[field][0] = bad
         with pytest.raises(DataError, match="non-finite price at ts=300"):
             make_series("X", 1e-4, *columns)
+
+
+class TestCandleSeriesChecks:
+    def test_inf_close_rejected_without_numpy_warning(self):
+        ts = np.array([100, 200, 300], dtype=np.int64)
+        prices = np.array([1.0, 1.1, 1.2])
+        closes = prices.copy()
+        closes[1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="non-finite price at ts=200"):
+                CandleSeries("X", 1e-4, ts, prices, prices, prices, closes)
+
+    @pytest.mark.parametrize(
+        "ts, low, match",
+        [
+            ([100, 300, 200], 0.9, "not strictly increasing at ts=200"),
+            ([100, 100, 200], 0.9, "not strictly increasing at ts=100"),
+            ([100, 200, 300], 1.05, "OHLC invariant violated at ts=100"),
+        ],
+    )
+    def test_constructor_names_timestamp(self, ts, low, match):
+        ones = np.ones(3)
+        with pytest.raises(DataError, match=match):
+            CandleSeries("X", 1e-4, np.array(ts, dtype=np.int64), ones, ones * 1.2, ones * low, ones * 1.1)
+
+    def test_make_series_prefixes_source(self):
+        with pytest.raises(DataError, match="^feed.csv: OHLC invariant violated at ts=100"):
+            make_series("X", 1e-4, [200, 100], [1.0, 1.0], [1.2, 1.2], [0.9, 0.9], [1.1, 1.3], source="feed.csv")

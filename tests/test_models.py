@@ -1,13 +1,18 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fxevent.dataset import Dataset, NormStats, Sample, apply_norm, fit_normalizer, invert_target
 from fxevent.errors import ConfigError
 from fxevent.nn.core import grad_check, sigmoid, zero_grads
 from fxevent.nn.models import (
+    KINDS,
     BidirectionalLayer,
     GRULayer,
     LSTMLayer,
@@ -465,6 +470,36 @@ class TestSaveLoad:
         assert clone.stats_fingerprint == model.stats_fingerprint
         X = normed.windows()
         assert np.array_equal(clone.forward_batch(X), model.forward_batch(X))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        layers=st.integers(1, 2),
+        hidden=st.integers(1, 4),
+        input_dim=st.integers(1, 4),
+        n_timesteps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        fingerprint=st.one_of(st.none(), st.text("0123456789abcdef", min_size=16, max_size=16)),
+    )
+    def test_round_trip_is_bitwise(self, kind, layers, hidden, input_dim, n_timesteps, seed, fingerprint):
+        model = RecurrentModel(ModelConfig(kind, n_timesteps, input_dim, layers, hidden, seed))
+        model.stats_fingerprint = fingerprint
+        rng = np.random.default_rng(seed)
+        for p in model.params():  # magnitudes from subnormal to near overflow, and a negative zero
+            p.value[...] = rng.standard_normal(p.value.shape) * 10.0 ** rng.integers(-310, 300, p.value.shape)
+        model.params()[-1].value.flat[0] = -0.0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.model.txt"
+            save_model(model, path)
+            clone = load_model(path)
+        assert clone.config == model.config
+        assert clone.stats_fingerprint == fingerprint
+        for a, b in zip(model.params(), clone.params(), strict=True):
+            assert a.name == b.name
+            assert a.value.tobytes() == b.value.tobytes(), a.name
+        X = rng.standard_normal((3, n_timesteps, input_dim))
+        with np.errstate(all="ignore"):
+            assert clone.forward_batch(X).tobytes() == model.forward_batch(X).tobytes()
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
