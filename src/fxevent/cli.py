@@ -14,8 +14,8 @@ from . import dataset as ds_mod
 from . import events as ev_mod
 from .config import DataConfig, EventConfig, ModelArch, load_config, write_example
 from .errors import ConfigError, DataError
-from .experiment import emit_predictions, run_experiment
-from .indicators import IndicatorParams, ema, feature_matrix, save_features_csv
+from .experiment import detect_events, emit_predictions, run_experiment
+from .indicators import IndicatorParams, feature_matrix, save_features_csv
 from .market_data import DEFAULT_PIP_SIZE, RegimeParams, load_csv, save_csv, synthetic_series
 from .metrics import MetricsReport
 from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save_model, train
@@ -55,11 +55,10 @@ def cmd_features(args):
 
 def cmd_events(args):
     series = _load_series(args)
-    pivots = ev_mod.zigzag(series, ev_mod.ZigZagParams(args.depth, args.deviation_pips, args.backstep))
-    fast = ema(series.closes, args.fast)
-    slow = ema(series.closes, args.slow)
-    crosses = ev_mod.crossovers(fast, slow)
-    sequences, diags = ev_mod.assemble_sequences(pivots, crosses, series)
+    zigzag = ev_mod.ZigZagParams(args.depth, args.deviation_pips, args.backstep)
+    pivots, crosses, sequences, diags = detect_events(
+        series, zigzag, args.fast, args.slow, ev_mod.RetraceParams()
+    )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "index", "timestamp", "price", "direction"])
@@ -85,9 +84,9 @@ def cmd_events(args):
 def cmd_dataset(args):
     series = _load_series(args)
     feats = feature_matrix(series, IndicatorParams())
-    pivots = ev_mod.zigzag(series)
-    crosses = ev_mod.crossovers(ema(series.closes, args.fast), ema(series.closes, args.slow))
-    sequences, _ = ev_mod.assemble_sequences(pivots, crosses, series)
+    _, _, sequences, _ = detect_events(
+        series, ev_mod.ZigZagParams(), args.fast, args.slow, ev_mod.RetraceParams()
+    )
     samples, skipped = ds_mod.build_samples(feats, sequences, args.timesteps, series)
     if not samples:
         print("no samples survived windowing", file=sys.stderr)
@@ -161,16 +160,7 @@ def cmd_evaluate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_predictions(ds.samples, true, pred,
                      out_dir / f"predictions_{model.config.kind}_{ds.n_timesteps}.csv")
-    payload = {
-        "model": report.model_kind,
-        "timesteps": report.n_timesteps,
-        "mse": report.mse,
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "mape_pct": report.mape,
-        "n": report.n,
-    }
-    (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "metrics.json").write_text(json.dumps(report.row(), indent=2, sort_keys=True) + "\n")
     print(report.scaled_row())
     return 0
 

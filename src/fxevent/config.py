@@ -47,12 +47,27 @@ class GridConfig:
     kinds: tuple[str, ...] = ("rnn", "lstm", "bilstm", "gru")
     timesteps: tuple[int, ...] = (30, 60)
 
+    def __post_init__(self):
+        if any(n < 1 for n in self.timesteps):
+            raise ConfigError(f"timesteps must all be >= 1, got {self.timesteps}")
+        # a repeated cell would train again and overwrite the first one's files
+        for key in ("kinds", "timesteps"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} lists a value more than once: {values}")
+
 
 @dataclass
 class ModelArch:
     layers: int = 2
     hidden: int = 64
     val_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.layers < 1 or self.hidden < 1:
+            raise ConfigError(f"layers and hidden must be >= 1, got {self.layers} and {self.hidden}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

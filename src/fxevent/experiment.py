@@ -36,7 +36,7 @@ from .csvio import write_table
 from .errors import ConfigError
 from .indicators import ema, feature_matrix
 from .market_data import CandleSeries, load_csv, synthetic_series
-from .metrics import MetricsReport
+from .metrics import SCALED_HEADER, MetricsReport
 from .nn.models import _CELLS, ModelConfig, predict, save_model, train
 
 _KIND_CODES = {"rnn": 1, "lstm": 2, "bilstm": 3, "gru": 4}
@@ -78,6 +78,21 @@ def emit_predictions(samples, true, pred, path) -> None:
     )
 
 
+def detect_events(
+    series: CandleSeries,
+    zigzag: ev_mod.ZigZagParams,
+    fast: int,
+    slow: int,
+    retrace: ev_mod.RetraceParams,
+) -> tuple[list, list, list, ev_mod.SequenceDiagnostics]:
+    """(pivots, crossovers, sequences, diagnostics): ZigZag pivots, the crossovers
+    of the `fast`- and `slow`-period close EMAs, and the setups assembled from them."""
+    pivots = ev_mod.zigzag(series, zigzag)
+    crosses = ev_mod.crossovers(ema(series.closes, fast), ema(series.closes, slow))
+    sequences, diags = ev_mod.assemble_sequences(pivots, crosses, series, retrace)
+    return pivots, crosses, sequences, diags
+
+
 @dataclass
 class CellResult:
     kind: str
@@ -85,8 +100,6 @@ class CellResult:
     seed: int
     metrics: MetricsReport | None = None
     error: str | None = None
-    train_samples: int = 0
-    test_samples: int = 0
     best_epoch: int = 0
     epochs_run: int = 0
 
@@ -118,12 +131,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     series = _load_series(cfg)
     cutoff = resolve_cutoff(series, cfg)
     features = feature_matrix(series, cfg.indicators)
-
-    fast = ema(series.closes, cfg.events.cross_fast)
-    slow = ema(series.closes, cfg.events.cross_slow)
-    pivots = ev_mod.zigzag(series, cfg.zigzag)
-    crosses = ev_mod.crossovers(fast, slow)
-    sequences, diags = ev_mod.assemble_sequences(pivots, crosses, series, cfg.retrace)
+    _, _, sequences, diags = detect_events(
+        series, cfg.zigzag, cfg.events.cross_fast, cfg.events.cross_slow, cfg.retrace
+    )
     if cfg.events.causal_filter:
         sequences = ev_mod.filter_causal(sequences, diags)
 
@@ -171,8 +181,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cell = CellResult(kind=kind, n_timesteps=n, seed=seed)
             result.cells.append(cell)
             entry = per_n[n]
-            cell.train_samples = entry["train"]
-            cell.test_samples = entry["test"]
             if "error" in entry:
                 cell.error = entry["error"]
                 continue
@@ -378,32 +386,9 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict)
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    rows = []
-    for c in result.cells:
-        if c.metrics is None:
-            continue
-        m = c.metrics
-        rows.append(
-            {
-                "model": c.kind,
-                "timesteps": c.n_timesteps,
-                "mse": m.mse,
-                "rmse": m.rmse,
-                "mae": m.mae,
-                "mape_pct": m.mape,
-                "n": m.n,
-            }
-        )
+    rows = [c.metrics.row() for c in result.cells if c.metrics is not None]
     persistence_rows = [
-        {
-            "timesteps": n,
-            "mse": m.mse,
-            "rmse": m.rmse,
-            "mae": m.mae,
-            "mape_pct": m.mape,
-            "n": m.n,
-        }
-        for n, m in sorted(result.persistence.items())
+        {k: v for k, v in m.row().items() if k != "model"} for _, m in sorted(result.persistence.items())
     ]
     report = {
         "symbol": cfg.data.symbol,
@@ -415,12 +400,7 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict)
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    lines = [
-        f"experiment results for {cfg.data.symbol}",
-        "",
-        f"{'model':<12} {'n':>4} {'MSE(1e-3)':>12} {'RMSE(1e-3)':>12} {'MAE(1e-3)':>12} "
-        f"{'MAPE(%)':>10} {'count':>6}",
-    ]
+    lines = [f"experiment results for {cfg.data.symbol}", "", SCALED_HEADER]
     for c in result.cells:
         if c.metrics is not None:
             lines.append(c.metrics.scaled_row())

@@ -41,6 +41,12 @@ def mape(true, pred) -> float:
     return float(np.mean(np.abs(true - pred) / true) * 100.0)
 
 
+SCALED_HEADER = (
+    f"{'model':<12} {'n':>4} {'MSE(1e-3)':>12} {'RMSE(1e-3)':>12} {'MAE(1e-3)':>12} "
+    f"{'MAPE(%)':>10} {'count':>6}"
+)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     model_kind: str
@@ -67,8 +73,20 @@ class MetricsReport:
             n=int(np.asarray(true).size),
         )
 
+    def row(self) -> dict:
+        """The JSON record of report.json and metrics.json, in raw price units."""
+        return {
+            "model": self.model_kind,
+            "timesteps": self.n_timesteps,
+            "mse": self.mse,
+            "rmse": self.rmse,
+            "mae": self.mae,
+            "mape_pct": self.mape,
+            "n": self.n,
+        }
+
     def scaled_row(self) -> str:
-        """Values in the x10^-3 convention used by the result tables, MAPE in %."""
+        """A line under SCALED_HEADER: values in the x10^-3 convention of the result tables, MAPE in %."""
         return (
             f"{self.model_kind:<12} {self.n_timesteps:>4} "
             f"{self.mse * 1e3:>12.6f} {self.rmse * 1e3:>12.3f} "

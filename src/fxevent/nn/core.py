@@ -28,34 +28,16 @@ class Param:
         self.adam_v = np.zeros_like(self.value)
 
 
-@dataclass
-class AdamHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.lr <= 0.0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.t < 0:
-            raise ConfigError("step counter must be >= 0")
-
-
 def zero_grads(params: list[Param]) -> None:
     for p in params:
         p.grad[...] = 0.0
 
 
-def adam_step(params: list[Param], hyper: AdamHyper) -> None:
-    """Bias-corrected Adam update in place; increments hyper.t."""
-    hyper.t += 1
+def adam_step(params: list[Param], hyper, t: int) -> None:
+    """Bias-corrected Adam update in place, as step t >= 1, with a TrainHyper's lr, betas and eps."""
     b1, b2 = hyper.beta1, hyper.beta2
-    bc1 = 1.0 - b1**hyper.t
-    bc2 = 1.0 - b2**hyper.t
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
     for p in params:
         p.adam_m[...] = b1 * p.adam_m + (1.0 - b1) * p.grad
         p.adam_v[...] = b2 * p.adam_v + (1.0 - b2) * p.grad**2

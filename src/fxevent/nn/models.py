@@ -32,7 +32,6 @@ import numpy as np
 from ..dataset import Dataset, NormStats, invert_target
 from ..errors import ConfigError
 from .core import (
-    AdamHyper,
     Dense,
     Param,
     adam_step,
@@ -81,6 +80,16 @@ class TrainHyper:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        if not self.lr > 0.0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("betas must lie in [0, 1)")
 
 
 @dataclass
@@ -466,7 +475,7 @@ def train(
 
     model = RecurrentModel(config)
     params = model.params()
-    adam = AdamHyper(lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2, eps=hyper.eps)
+    step = 0
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     report = TrainReport()
     started = time.perf_counter()
@@ -490,7 +499,8 @@ def train(
                 )
             model.backward_batch(dpred)
             clip_global_norm(params, hyper.clip_norm)
-            adam_step(params, adam)
+            step += 1
+            adam_step(params, hyper, step)
             sq_sum += loss * len(batch)
         train_loss = sq_sum / len(y_tr)
         report.train_losses.append(train_loss)

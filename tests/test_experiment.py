@@ -175,8 +175,9 @@ class TestRunExperiment:
         cell = result.cells[0]
         assert cell.error is None
         assert cell.metrics is not None
-        assert cell.metrics.n == cell.test_samples
         out = Path(cfg.out_dir)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert cell.metrics.n == manifest["datasets"]["30"]["test"]
         assert (out / "report.json").exists()
         assert (out / "report.txt").exists()
         assert (out / "manifest.json").exists()
@@ -428,6 +429,15 @@ class TestConfigFile:
             ("[grid]\ntimesteps = 30,x\n", r"\[grid\] timesteps: "),
             ("[split]\ncutoff = soon\n", r"\[split\] cutoff: "),
             ("[regime]\nleg_len = 5,6,7\n", r"\[regime\] leg_len expects two values"),
+            ("[training]\nbatch_size = 0\n", r"\[training\] batch_size must be >= 1"),
+            ("[training]\nmax_epochs = 0\n", r"\[training\] max_epochs must be >= 1"),
+            ("[training]\nlr = 0\n", r"\[training\] lr must be > 0"),
+            ("[model]\nhidden = 0\n", r"\[model\] layers and hidden must be >= 1"),
+            ("[model]\nlayers = 0\n", r"\[model\] layers and hidden must be >= 1"),
+            ("[model]\nval_fraction = 1.5\n", r"\[model\] val_fraction must be in \[0, 1\)"),
+            ("[grid]\ntimesteps = 0\n", r"\[grid\] timesteps must all be >= 1"),
+            ("[grid]\nkinds = lstm,lstm\n", r"\[grid\] kinds lists a value more than once"),
+            ("[grid]\ntimesteps = 30,30\n", r"\[grid\] timesteps lists a value more than once"),
         ],
     )
     def test_bad_input_names_file_section_and_key(self, tmp_path, capsys, text, match):
@@ -521,6 +531,17 @@ class TestCli:
     def test_missing_dataset_exit_code(self, tmp_path, capsys):
         assert main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "m.txt")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, match", [("--batch-size", "batch_size"), ("--epochs", "max_epochs")])
+    def test_train_rejects_zero_setting(self, tmp_path, capsys, flag, match):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
+        main(["dataset", "--csv", str(series_csv), "--timesteps", "16", "--out", str(tmp_path / "ds")])
+        capsys.readouterr()
+        model_path = tmp_path / "m.model.txt"
+        assert main(["train", "--dataset", str(tmp_path / "ds"), flag, "0", "--out", str(model_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {match} must be >= 1, got 0")
+        assert not model_path.exists()
 
     def test_stats_feature_count_mismatch(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"

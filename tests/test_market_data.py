@@ -1,7 +1,12 @@
+import tempfile
 import warnings
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxevent.errors import ConfigError, DataError
 from fxevent.market_data import (
@@ -9,6 +14,7 @@ from fxevent.market_data import (
     RegimeParams,
     load_csv,
     make_series,
+    parse_timestamp,
     save_csv,
     synthetic_series,
 )
@@ -20,6 +26,44 @@ def write(tmp_path, text, name="series.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+PRICE = st.floats(min_value=0.0, max_value=1.7e308, exclude_min=True)
+
+
+@st.composite
+def candle_series(draw):
+    """A valid series of 1-20 bars: unique timestamps, prices from subnormal to near overflow."""
+    ts = sorted(draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=20, unique=True)))
+    rows = []
+    for _ in ts:
+        lo, a, b, hi = sorted(draw(st.lists(PRICE, min_size=4, max_size=4)))
+        rows.append((a, lo, hi, b) if draw(st.booleans()) else (b, lo, hi, a))
+    o, l, h, c = map(np.array, zip(*rows))
+    return CandleSeries("X", 1e-4, np.array(ts, dtype=np.int64), o, h, l, c)
+
+
+def assert_same_series(a, b):
+    for field in ("timestamps", "opens", "highs", "lows", "closes"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+class TestParseTimestamp:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        epoch=st.integers(0, 4_102_444_800),  # 1970 to 2100
+        offset_minutes=st.integers(-14 * 60, 14 * 60),
+    )
+    def test_epoch_and_iso_forms_agree(self, epoch, offset_minutes):
+        utc = datetime.fromtimestamp(epoch, timezone.utc)
+        local = utc.astimezone(timezone(timedelta(minutes=offset_minutes)))
+        forms = [
+            str(epoch),
+            utc.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            local.isoformat(),
+            utc.replace(tzinfo=None).isoformat(),  # naive reads as UTC
+        ]
+        assert [parse_timestamp(f) for f in forms] == [epoch] * 4
 
 
 class TestLoadCsv:
@@ -130,6 +174,35 @@ class TestLoadCsv:
         assert np.all(back.highs >= np.maximum(back.opens, back.closes))
         assert np.all(back.lows <= np.minimum(back.opens, back.closes))
         assert np.all(back.lows > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=candle_series(), data=st.data())
+    def test_save_load_round_trip_is_bitwise(self, series, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            save_csv(series, path)
+            assert_same_series(load_csv(path, "X"), series)
+            header, *rows = path.read_text().splitlines()
+            rows = data.draw(st.permutations(rows))
+            blanks = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
+            for i in sorted(blanks, reverse=True):
+                rows.insert(i, "")
+            assert_same_series(load_csv(write(Path(tmp), "\n".join([header, *rows]) + "\n"), "X"), series)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=candle_series(), data=st.data())
+    def test_non_finite_price_names_its_line(self, series, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            save_csv(series, path)
+            lines = path.read_text().splitlines()
+            lines[1:1] = [""] * data.draw(st.integers(0, 3))
+            row = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line and i > 0]))
+            fields = lines[row].split(",")
+            fields[data.draw(st.integers(1, 4))] = data.draw(st.sampled_from(["nan", "NaN", "inf", "-inf"]))
+            lines[row] = ",".join(fields)
+            with pytest.raises(DataError, match=f"non-finite price at line {row + 1} "):
+                load_csv(write(Path(tmp), "\n".join(lines) + "\n"), "X")
 
 
 class TestSyntheticSeries:

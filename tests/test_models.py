@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fxevent.nn import models
 from fxevent.dataset import Dataset, NormStats, Sample, apply_norm, fit_normalizer, invert_target
 from fxevent.errors import ConfigError
 from fxevent.nn.core import grad_check, sigmoid, zero_grads
@@ -375,6 +376,15 @@ class TestTrain:
         assert min(report.val_losses) < 1e-6
         pred = predict(model, normed, stats)
         assert np.max(np.abs(pred - 0.37)) < 1e-2
+
+    def test_adam_step_counter_spans_epochs(self, rng, monkeypatch):
+        ds = make_dataset(rng, 10)
+        cfg = ModelConfig(kind="rnn", n_timesteps=6, input_dim=5, layers=1, hidden=2, seed=1)
+        steps = []
+        step = models.adam_step
+        monkeypatch.setattr(models, "adam_step", lambda params, hyper, t: steps.append(t) or step(params, hyper, t))
+        train(ds, 0.0, cfg, TrainHyper(batch_size=4, max_epochs=3, patience=3))
+        assert steps == list(range(1, 10))  # 3 batches in each of 3 epochs
 
     def test_report_invariants(self, rng):
         ds = make_dataset(rng, 30)

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from fxevent.errors import ConfigError, GradCheckError
 from fxevent.nn.core import (
-    AdamHyper,
     Dense,
     Param,
     adam_step,
@@ -18,6 +17,7 @@ from fxevent.nn.core import (
     sigmoid,
     zero_grads,
 )
+from fxevent.nn.models import TrainHyper
 
 
 class TestActivations:
@@ -76,30 +76,28 @@ class TestMseLoss:
 class TestAdam:
     def test_zero_grads_fixed_point(self):
         p = Param("w", np.array([[1.0, -2.0]]))
-        hyper = AdamHyper()
-        adam_step([p], hyper)
+        adam_step([p], TrainHyper(), 1)
         assert np.array_equal(p.value, np.array([[1.0, -2.0]]))
-        assert hyper.t == 1
 
     def test_first_step_is_lr_sized_sign_step(self):
         for g in (0.5, -3.0, 1e-4):
             p = Param("w", np.array([1.0]))
             p.grad[...] = g
-            hyper = AdamHyper(lr=1e-3)
-            adam_step([p], hyper)
+            hyper = TrainHyper(lr=1e-3)
+            adam_step([p], hyper, 1)
             update = 1.0 - p.value[0]
             assert update == pytest.approx(np.sign(g) * hyper.lr, rel=1e-4)
 
     def test_three_steps_match_hand_recurrence(self):
         # quadratic loss 0.5*theta^2 -> grad = theta, re-evaluated each step
         p = Param("w", np.array([0.7]))
-        hyper = AdamHyper(lr=1e-2)
+        hyper = TrainHyper(lr=1e-2)
         seen = []
         grads = []
-        for _ in range(3):
+        for t in range(1, 4):
             grads.append(float(p.value[0]))
             p.grad[...] = p.value
-            adam_step([p], hyper)
+            adam_step([p], hyper, t)
             seen.append(float(p.value[0]))
         expected = oracles.adam_reference(0.7, grads, lr=1e-2)
         assert np.max(np.abs(np.array(seen) - np.array(expected))) < 1e-12
@@ -107,19 +105,19 @@ class TestAdam:
     def test_repeatable_from_identical_state(self):
         def run():
             p = Param("w", np.array([0.3, -0.8]))
-            hyper = AdamHyper()
+            hyper = TrainHyper()
             for i in range(5):
                 p.grad[...] = np.array([0.1 * (i + 1), -0.05])
-                adam_step([p], hyper)
+                adam_step([p], hyper, i + 1)
             return p.value.copy()
 
         assert np.array_equal(run(), run())
 
     def test_hyper_validation(self):
         with pytest.raises(ConfigError):
-            AdamHyper(beta1=1.0)
+            TrainHyper(beta1=1.0)
         with pytest.raises(ConfigError):
-            AdamHyper(lr=0.0)
+            TrainHyper(lr=0.0)
 
 
 class TestClip:
