@@ -16,7 +16,7 @@ from .config import DataConfig, EventConfig, ModelArch, load_config, write_examp
 from .errors import ConfigError, DataError
 from .experiment import detect_events, emit_predictions, run_experiment
 from .indicators import IndicatorParams, feature_matrix, save_features_csv
-from .market_data import DEFAULT_PIP_SIZE, RegimeParams, load_csv, save_csv, synthetic_series
+from .market_data import DEFAULT_PIP_SIZE, TRENDS, RegimeParams, load_csv, save_csv, synthetic_series
 from .metrics import MetricsReport
 from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save_model, train
 
@@ -32,12 +32,7 @@ def _load_series(args):
 
 
 def cmd_synth(args):
-    regime = RegimeParams()
-    if args.trend != regime.trend or args.noise_pips is not None:
-        regime = RegimeParams(
-            trend=args.trend,
-            noise_pips=regime.noise_pips if args.noise_pips is None else args.noise_pips,
-        )
+    regime = RegimeParams(trend=args.trend, noise_pips=args.noise_pips)
     series = synthetic_series(args.seed, args.n, regime, args.symbol)
     save_csv(series, args.out)
     print(f"wrote {len(series)} candles to {args.out}")
@@ -57,7 +52,7 @@ def cmd_events(args):
     series = _load_series(args)
     zigzag = ev_mod.ZigZagParams(args.depth, args.deviation_pips, args.backstep)
     pivots, crosses, sequences, diags = detect_events(
-        series, zigzag, args.fast, args.slow, ev_mod.RetraceParams()
+        series, zigzag, EventConfig(args.fast, args.slow), ev_mod.RetraceParams()
     )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -85,7 +80,7 @@ def cmd_dataset(args):
     series = _load_series(args)
     feats = feature_matrix(series, IndicatorParams())
     _, _, sequences, _ = detect_events(
-        series, ev_mod.ZigZagParams(), args.fast, args.slow, ev_mod.RetraceParams()
+        series, ev_mod.ZigZagParams(), EventConfig(args.fast, args.slow), ev_mod.RetraceParams()
     )
     samples, skipped = ds_mod.build_samples(feats, sequences, args.timesteps, series)
     if not samples:
@@ -196,8 +191,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DataConfig.synth_seed)
     p.add_argument("--n", type=int, default=DataConfig.synth_n)
     p.add_argument("--symbol", default=DataConfig.symbol)
-    p.add_argument("--trend", default=RegimeParams.trend, choices=["alternate", "up", "down"])
-    p.add_argument("--noise-pips", type=float, default=None)
+    p.add_argument("--trend", default=RegimeParams.trend, choices=TRENDS)
+    p.add_argument("--noise-pips", type=float, default=RegimeParams.noise_pips)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -8,7 +8,7 @@ reproducible from its output directory.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
@@ -27,12 +27,26 @@ class DataConfig:
     synth_seed: int = 7
     synth_n: int = 5000
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "csv"):
+            raise ConfigError(f"source must be synthetic or csv, got {self.source!r}")
+        if self.source == "csv" and not self.csv_path:
+            raise ConfigError("source = csv requires a csv path")
+        if self.synth_n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.synth_n}")
+
 
 @dataclass
 class SplitConfig:
     # Exactly one of the two: an absolute cutoff, or a fraction of the series span.
     cutoff: int | None = None
     cutoff_fraction: float | None = 0.8
+
+    def __post_init__(self):
+        if (self.cutoff is None) == (self.cutoff_fraction is None):
+            raise ConfigError("set exactly one of cutoff and cutoff_fraction")
+        if self.cutoff_fraction is not None and not 0.0 < self.cutoff_fraction < 1.0:
+            raise ConfigError(f"cutoff_fraction must be in (0, 1), got {self.cutoff_fraction}")
 
 
 @dataclass
@@ -41,6 +55,12 @@ class EventConfig:
     cross_slow: int = 20
     causal_filter: bool = False
 
+    def __post_init__(self):
+        if not 1 <= self.cross_fast < self.cross_slow:
+            raise ConfigError(
+                f"need 1 <= fast < slow, got fast {self.cross_fast} and slow {self.cross_slow}"
+            )
+
 
 @dataclass
 class GridConfig:
@@ -48,6 +68,10 @@ class GridConfig:
     timesteps: tuple[int, ...] = (30, 60)
 
     def __post_init__(self):
+        if not self.kinds or not self.timesteps:
+            raise ConfigError("kinds and timesteps must each name at least one value")
+        if not set(self.kinds) <= set(KINDS):
+            raise ConfigError(f"unknown kind in {self.kinds}, expected a subset of {KINDS}")
         if any(n < 1 for n in self.timesteps):
             raise ConfigError(f"timesteps must all be >= 1, got {self.timesteps}")
         # a repeated cell would train again and overwrite the first one's files
@@ -87,21 +111,14 @@ class ExperimentConfig:
     save_models: bool = False
 
     def validate(self):
-        if self.data.source not in ("synthetic", "csv"):
-            raise ConfigError(f"data.source must be synthetic or csv, got {self.data.source!r}")
-        if self.data.source == "csv" and not self.data.csv_path:
-            raise ConfigError("data.source=csv requires data.csv")
-        if not self.grid.kinds:
-            raise ConfigError("grid.kinds must name at least one model")
-        for k in self.grid.kinds:
-            if k not in KINDS:
-                raise ConfigError(f"unknown grid kind {k!r}, expected subset of {KINDS}")
-        if not self.grid.timesteps:
-            raise ConfigError("grid.timesteps must name at least one window length")
-        if (self.split.cutoff is None) == (self.split.cutoff_fraction is None):
-            raise ConfigError("set exactly one of split.cutoff / split.cutoff_fraction")
-        if self.events.cross_fast >= self.events.cross_slow:
-            raise ConfigError("crossover.fast must be < crossover.slow")
+        """Re-run every section's checks on a copy, so a section edited in place is caught too."""
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(section):
+                try:
+                    replace(section)
+                except ConfigError as exc:
+                    raise ConfigError(f"{f.name}: {exc}") from None
         return self
 
 
@@ -192,10 +209,7 @@ def load_config(path) -> ExperimentConfig:
             setattr(cfg, attr, target)
         else:
             cfg = target
-    try:
-        return cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 EXAMPLE = """\

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import events as ev_mod
-from .config import ExperimentConfig
+from .config import EventConfig, ExperimentConfig
 from .csvio import write_table
 from .errors import ConfigError
 from .indicators import ema, feature_matrix
@@ -81,14 +81,14 @@ def emit_predictions(samples, true, pred, path) -> None:
 def detect_events(
     series: CandleSeries,
     zigzag: ev_mod.ZigZagParams,
-    fast: int,
-    slow: int,
+    events: EventConfig,
     retrace: ev_mod.RetraceParams,
 ) -> tuple[list, list, list, ev_mod.SequenceDiagnostics]:
     """(pivots, crossovers, sequences, diagnostics): ZigZag pivots, the crossovers
-    of the `fast`- and `slow`-period close EMAs, and the setups assembled from them."""
+    of the fast- and slow-period close EMAs, and the setups assembled from them."""
     pivots = ev_mod.zigzag(series, zigzag)
-    crosses = ev_mod.crossovers(ema(series.closes, fast), ema(series.closes, slow))
+    closes = series.closes
+    crosses = ev_mod.crossovers(ema(closes, events.cross_fast), ema(closes, events.cross_slow))
     sequences, diags = ev_mod.assemble_sequences(pivots, crosses, series, retrace)
     return pivots, crosses, sequences, diags
 
@@ -131,9 +131,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     series = _load_series(cfg)
     cutoff = resolve_cutoff(series, cfg)
     features = feature_matrix(series, cfg.indicators)
-    _, _, sequences, diags = detect_events(
-        series, cfg.zigzag, cfg.events.cross_fast, cfg.events.cross_slow, cfg.retrace
-    )
+    _, _, sequences, diags = detect_events(series, cfg.zigzag, cfg.events, cfg.retrace)
     if cfg.events.causal_filter:
         sequences = ev_mod.filter_causal(sequences, diags)
 
@@ -149,7 +147,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     }
 
     per_n: dict[int, dict] = {}
-    for n in sorted(set(cfg.grid.timesteps)):
+    for n in sorted(cfg.grid.timesteps):
         samples, skipped = ds_mod.build_samples(features, sequences, n, series)
         train_samples = tuple(s for s in samples if s.e2_ts < cutoff)
         test_samples = tuple(s for s in samples if s.e2_ts >= cutoff)
@@ -168,7 +166,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             test_ds=ds_mod.apply_norm(test_ds, stats),
             stats=stats,
             true=test_ds.targets(),
-            test_raw=test_ds,
         )
         persist = baseline_persistence(test_ds, series)
         result.persistence[n] = MetricsReport.compute("persistence", n, entry["true"], persist)
@@ -184,18 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if "error" in entry:
                 cell.error = entry["error"]
                 continue
-            try:
-                mc = ModelConfig(
-                    kind=kind,
-                    n_timesteps=n,
-                    input_dim=len(features.columns),
-                    layers=cfg.arch.layers,
-                    hidden=cfg.arch.hidden,
-                    seed=seed,
-                )
-            except ConfigError as exc:
-                cell.error = f"{type(exc).__name__}: {exc}"
-                continue
+            mc = ModelConfig(kind, n, len(features.columns), cfg.arch.layers, cfg.arch.hidden, seed)
             task = (entry["train_ds"], entry["test_ds"], entry["stats"], mc, cfg.training,
                     cfg.arch.val_fraction, cfg.save_models)
             runnable.append((cell, entry, task))
@@ -211,9 +197,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             cell.epochs_run = report.epochs_run
             stem = f"{cell.kind}_{cell.n_timesteps}"
             emit_predictions(
-                entry["test_raw"].samples, entry["true"], pred, out_dir / f"predictions_{stem}.csv"
+                entry["test_ds"].samples, entry["true"], pred, out_dir / f"predictions_{stem}.csv"
             )
-            _write_train_report(report, out_dir / f"train_report_{stem}.json")
+            # wall time deliberately excluded: emitted files must be replay-identical
+            train_report = {k: v for k, v in asdict(report).items() if k != "wall_time_s"}
+            (out_dir / f"train_report_{stem}.json").write_text(json.dumps(train_report, indent=2) + "\n")
             if cfg.save_models:
                 models_dir = out_dir / "models"
                 models_dir.mkdir(exist_ok=True)
@@ -332,17 +320,6 @@ def _serve() -> None:
         results.flush()
 
 
-def _write_train_report(report, path) -> None:
-    # wall time deliberately excluded: emitted files must be replay-identical
-    payload = {
-        "train_losses": report.train_losses,
-        "val_losses": report.val_losses,
-        "best_epoch": report.best_epoch,
-        "epochs_run": report.epochs_run,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _environment() -> dict:
     """What replay depends on besides the config: the numpy version and its BLAS library."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -372,17 +349,7 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict)
             str(n): {k: v for k, v in entry.items() if k in ("skipped", "train", "test", "error")}
             for n, entry in per_n.items()
         },
-        "cells": [
-            {
-                "kind": c.kind,
-                "n_timesteps": c.n_timesteps,
-                "seed": c.seed,
-                "error": c.error,
-                "best_epoch": c.best_epoch,
-                "epochs_run": c.epochs_run,
-            }
-            for c in result.cells
-        ],
+        "cells": [{k: v for k, v in asdict(c).items() if k != "metrics"} for c in result.cells],
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

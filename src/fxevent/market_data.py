@@ -18,6 +18,7 @@ from .csvio import write_table
 from .errors import ConfigError, DataError
 
 DEFAULT_PIP_SIZE = 1e-4
+TRENDS = ("alternate", "up", "down")
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ class RegimeParams:
     notch_recover_bars: int = 3
     noise_pips: float = 0.25
     wick_pips: float = 0.6
-    trend: str = "alternate"  # "alternate" | "up" | "down"
+    trend: str = "alternate"  # one of TRENDS
     reversion_pips: float = 250.0  # price-level pull toward start_price; 0 disables
     start_timestamp: int = 1577836800  # 2020-01-01T00:00:00Z
     bar_seconds: int = 900
@@ -195,16 +196,16 @@ class RegimeParams:
             raise ConfigError("noise_pips, wick_pips and reversion_pips must be >= 0")
         if self.notch_down_bars < 0 or self.notch_recover_bars < 0:
             raise ConfigError("notch bar counts must be >= 0")
+        if self.notch_down_bars > 0 and self.notch_recover_bars < 1:
+            raise ConfigError("notch_recover_bars must be >= 1 when the counter-move is enabled")
+        if self.trend not in TRENDS:
+            raise ConfigError(f"unknown trend mode {self.trend!r}")
 
 
 def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), symbol: str = "SYN") -> CandleSeries:
     """Deterministic synthetic OHLC series; pure function of (seed, n, regime)."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    if regime.trend not in ("alternate", "up", "down"):
-        raise ConfigError(f"unknown trend mode {regime.trend!r}")
-    if regime.notch_down_bars > 0 and regime.notch_recover_bars < 1:
-        raise ConfigError("notch_recover_bars must be >= 1 when the counter-move is enabled")
 
     rng = np.random.default_rng(seed)
     pip = regime.pip

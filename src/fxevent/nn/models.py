@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,6 +88,10 @@ class TrainHyper:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if self.clip_norm < 0:  # 0 turns clipping off
+            raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
 
@@ -563,18 +567,9 @@ def save_model(model: RecurrentModel, path) -> None:
 
     v2 files hold three fused blocks per cell (W, U, b); v1 held one block per gate.
     """
-    cfg = model.config
-    header = {
-        "kind": cfg.kind,
-        "n_timesteps": cfg.n_timesteps,
-        "input_dim": cfg.input_dim,
-        "layers": cfg.layers,
-        "hidden": cfg.hidden,
-        "seed": cfg.seed,
-    }
     with open(path, "w") as fh:
         fh.write(_MODEL_MAGIC + "\n")
-        fh.write("config " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write("config " + json.dumps(asdict(model.config), sort_keys=True) + "\n")
         fh.write(f"stats_fingerprint {model.stats_fingerprint or '-'}\n")
         params = model.params()
         fh.write(f"params {len(params)}\n")

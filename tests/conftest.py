@@ -2,8 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fxevent.market_data import CandleSeries, synthetic_series
+
+# No property test has a per-example deadline: a machine's speed can vary
+# enough between runs to fail a timed example at random. Each test sets only
+# its example count.
+settings.register_profile("fxevent", deadline=None)
+settings.load_profile("fxevent")
 
 
 def random_walk_series(rng, n, start=1.10, vol_pips=8.0, pip=1e-4, symbol="RND"):

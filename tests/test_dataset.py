@@ -221,7 +221,7 @@ class TestSerialization:
             b"1,1900,3800,0.86\r\n"
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         windows=st.integers(1, 4).flatmap(
             lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(0, 3)),
@@ -238,7 +238,7 @@ class TestSerialization:
         assert back.targets().tobytes() == np.array(targets[: len(windows)]).tobytes()
         assert [(s.e2_ts, s.e3_ts) for s in back.samples] == [(i, 2 * i) for i in range(len(windows))]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         values=arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4))),
         blank=st.booleans(),

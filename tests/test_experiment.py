@@ -215,6 +215,24 @@ class TestRunExperiment:
         assert by_n[2500].error is not None
         assert len(result.failed) == 1
 
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            ("training", "batch_size", 0, r"training: batch_size must be >= 1, got 0"),
+            ("grid", "kinds", ("lstm", "lstm"), r"grid: kinds lists a value more than once"),
+        ],
+    )
+    def test_config_edited_in_place_rejected_before_any_cell(
+        self, tmp_path, monkeypatch, section, key, value, match
+    ):
+        cfg = fast_config(tmp_path)
+        setattr(getattr(cfg, section), key, value)
+        monkeypatch.setattr(experiment, "_run_cells", lambda tasks: pytest.fail("cells ran"))
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg)
+        assert getattr(getattr(cfg, section), key) == value
+        assert not Path(cfg.out_dir).exists()
+
     def test_manifest_records_seeds_and_diagnostics(self, tmp_path):
         cfg = fast_config(tmp_path)
         run_experiment(cfg)
@@ -438,6 +456,19 @@ class TestConfigFile:
             ("[grid]\ntimesteps = 0\n", r"\[grid\] timesteps must all be >= 1"),
             ("[grid]\nkinds = lstm,lstm\n", r"\[grid\] kinds lists a value more than once"),
             ("[grid]\ntimesteps = 30,30\n", r"\[grid\] timesteps lists a value more than once"),
+            ("[grid]\nkinds =\n", r"\[grid\] kinds and timesteps must each name at least one value"),
+            ("[regime]\ntrend = sideways\n", r"\[regime\] unknown trend mode 'sideways'"),
+            ("[regime]\nnotch_recover_bars = 0\n", r"\[regime\] notch_recover_bars must be >= 1"),
+            ("[crossover]\nfast = 0\n", r"\[crossover\] need 1 <= fast < slow, got fast 0 and slow 20"),
+            ("[crossover]\nfast = 20\n", r"\[crossover\] need 1 <= fast < slow, got fast 20 and slow 20"),
+            ("[crossover]\nslow = 3\n", r"\[crossover\] need 1 <= fast < slow, got fast 5 and slow 3"),
+            ("[data]\nn = 0\n", r"\[data\] n must be >= 1, got 0"),
+            ("[data]\nsource = csv\n", r"\[data\] source = csv requires a csv path"),
+            ("[data]\nsource = parquet\n", r"\[data\] source must be synthetic or csv, got 'parquet'"),
+            ("[split]\ncutoff_fraction = 1.5\n", r"\[split\] cutoff_fraction must be in \(0, 1\), got 1.5"),
+            ("[split]\ncutoff = 0\ncutoff_fraction = 0.5\n", r"\[split\] set exactly one of cutoff and"),
+            ("[training]\npatience = -1\n", r"\[training\] patience must be >= 0, got -1"),
+            ("[training]\nclip_norm = -1\n", r"\[training\] clip_norm must be >= 0, got -1.0"),
         ],
     )
     def test_bad_input_names_file_section_and_key(self, tmp_path, capsys, text, match):
@@ -446,7 +477,7 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=re.escape(str(path)) + ": " + match):
             load_config(path)
         assert main(["experiment", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert re.match(f"error: {re.escape(str(path))}: {match}", capsys.readouterr().err)
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -466,7 +497,7 @@ class TestConfigFile:
     def test_bad_kind_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[grid]\nkinds = transformer\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\[grid\] unknown kind in \('transformer',\)"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -542,6 +573,17 @@ class TestCli:
         assert main(["train", "--dataset", str(tmp_path / "ds"), flag, "0", "--out", str(model_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {match} must be >= 1, got 0")
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("command", ["events", "dataset"])
+    def test_fast_not_below_slow_rejected(self, tmp_path, capsys, command):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "3", "--n", "1500", "--out", str(series_csv)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        args = [command, "--csv", str(series_csv), "--fast", "20", "--slow", "5", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: need 1 <= fast < slow, got fast 20 and slow 5\n"
+        assert not list(tmp_path.glob("out*"))
 
     def test_stats_feature_count_mismatch(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"

@@ -30,7 +30,7 @@ from fxevent.market_data import CandleSeries
 from conftest import random_walk_series
 
 PIP = 1e-4
-SETTINGS = settings(max_examples=60, deadline=None)
+SETTINGS = settings(max_examples=60)
 
 
 def quantized(series, quantum_pips):

@@ -49,7 +49,7 @@ def assert_same_series(a, b):
 
 
 class TestParseTimestamp:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         epoch=st.integers(0, 4_102_444_800),  # 1970 to 2100
         offset_minutes=st.integers(-14 * 60, 14 * 60),
@@ -175,7 +175,7 @@ class TestLoadCsv:
         assert np.all(back.lows <= np.minimum(back.opens, back.closes))
         assert np.all(back.lows > 0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(series=candle_series(), data=st.data())
     def test_save_load_round_trip_is_bitwise(self, series, data):
         with tempfile.TemporaryDirectory() as tmp:
@@ -189,7 +189,7 @@ class TestLoadCsv:
                 rows.insert(i, "")
             assert_same_series(load_csv(write(Path(tmp), "\n".join([header, *rows]) + "\n"), "X"), series)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(series=candle_series(), data=st.data())
     def test_non_finite_price_names_its_line(self, series, data):
         with tempfile.TemporaryDirectory() as tmp:
@@ -242,8 +242,11 @@ class TestSyntheticSeries:
             RegimeParams(slope_pips=(0.0, 1.0))
         with pytest.raises(ConfigError):
             RegimeParams(noise_pips=-1.0)
-        with pytest.raises(ConfigError):
-            synthetic_series(1, 100, RegimeParams(trend="sideways"))
+        with pytest.raises(ConfigError, match="unknown trend mode 'sideways'"):
+            RegimeParams(trend="sideways")
+        with pytest.raises(ConfigError, match="notch_recover_bars must be >= 1"):
+            RegimeParams(notch_recover_bars=0)
+        RegimeParams(notch_down_bars=0, notch_recover_bars=0)  # no counter-move, so no recovery either
 
 
 class TestMakeSeries:

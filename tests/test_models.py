@@ -1,5 +1,6 @@
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -481,7 +482,7 @@ class TestSaveLoad:
         X = normed.windows()
         assert np.array_equal(clone.forward_batch(X), model.forward_batch(X))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         kind=st.sampled_from(KINDS),
         layers=st.integers(1, 2),
@@ -510,6 +511,14 @@ class TestSaveLoad:
         X = rng.standard_normal((3, n_timesteps, input_dim))
         with np.errstate(all="ignore"):
             assert clone.forward_batch(X).tobytes() == model.forward_batch(X).tobytes()
+
+    def test_header_keeps_every_config_field(self, tmp_path):
+        cfg = ModelConfig(kind="gru", n_timesteps=5, input_dim=3, layers=3, hidden=2, seed=11)
+        # every field is off its default, so one the header dropped would load back changed
+        assert all(getattr(cfg, f.name) != f.default for f in fields(ModelConfig))
+        path = tmp_path / "m.model.txt"
+        save_model(RecurrentModel(cfg), path)
+        assert load_model(path).config == cfg
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
