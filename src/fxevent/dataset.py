@@ -13,6 +13,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +113,7 @@ class NormStats:
         self.feature_mean.setflags(write=False)
         self.feature_std.setflags(write=False)
 
-    @property
+    @cached_property  # hashed once: predict compares it on every request
     def fingerprint(self) -> str:
         digest = hashlib.sha256()
         digest.update(self.feature_mean.tobytes())

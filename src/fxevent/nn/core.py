@@ -38,32 +38,39 @@ def adam_step(params: list[Param], hyper, t: int) -> None:
     b1, b2 = hyper.beta1, hyper.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
+    work = np.empty(2 * max(p.value.size for p in params))
     for p in params:
-        p.adam_m[...] = b1 * p.adam_m + (1.0 - b1) * p.grad
-        p.adam_v[...] = b2 * p.adam_v + (1.0 - b2) * p.grad**2
-        m_hat = p.adam_m / bc1
-        v_hat = p.adam_v / bc2
-        p.value[...] = p.value - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        # m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2; value -= lr (m/bc1) / (sqrt(v/bc2) + eps)
+        num, den = work[: 2 * p.value.size].reshape(2, *p.value.shape)
+        p.adam_m *= b1
+        p.adam_m += np.multiply(1.0 - b1, p.grad, out=num)
+        p.adam_v *= b2
+        p.adam_v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - b2, out=den)
+        np.divide(p.adam_m, bc1, out=num)
+        num *= hyper.lr
+        np.sqrt(np.divide(p.adam_v, bc2, out=den), out=den)
+        den += hyper.eps
+        p.value -= np.divide(num, den, out=num)
 
 
 def clip_global_norm(params: list[Param], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is <= max_norm; returns the pre-clip norm."""
-    total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params))
+    work = np.empty(max(p.grad.size for p in params))
+    squares = (np.multiply(p.grad, p.grad, out=work[: p.grad.size].reshape(p.grad.shape)) for p in params)
+    total = np.sqrt(sum(float(np.sum(sq)) for sq in squares))
     if max_norm > 0.0 and total > max_norm:
         scale = max_norm / total
         for p in params:
-            p.grad[...] = p.grad * scale
+            p.grad *= scale
     return total
 
 
-def sigmoid(x, out=None):
-    """1 / (1 + exp(-x)), into `out` when given (it may be `x` itself).
-
-    For x below about -709, exp(-x) overflows to inf and the result is the
-    correct limit 0.0, so the overflow warning is silenced.
-    """
-    with np.errstate(over="ignore"):
-        return np.divide(1.0, 1.0 + np.exp(-np.asarray(x, dtype=np.float64)), out=out)
+def sigmoid_(a: np.ndarray) -> np.ndarray:
+    """a = 1 / (1 + exp(-a)) in place. Callers silence exp's overflow (a < -709): its limit 0.0 is right."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:

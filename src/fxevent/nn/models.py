@@ -1,20 +1,23 @@
 """Recurrent regression models: RNN, LSTM, BiLSTM and GRU with analytic BPTT.
 
 Each cell holds one fused set of weights for its G gates: W (D, G*H) on the
-input, U (H, G*H) on the recurrence and b (G*H,). The concatenated-input
-formulation of each gate is realized as x @ W + h_prev @ U + b, which is
-algebraically the same with simpler shapes.
+input, U (H, G*H) on the recurrence and b (G*H,), so each gate's
+concatenated-input form is realized as x @ W + h_prev @ U + b.
 
 Layers run on time-major (time, batch, features) float64 arrays, so every
 per-step slice is a contiguous view; the model takes and returns batch-major
 windows. A forward pass computes x @ W for all timesteps in one matmul into a
 (T, B, G*H) buffer, and each step adds its h @ U term and turns its slice into
-gate activations in place. The backward pass overwrites that buffer with the
-gate pre-activation gradients, one @ U.T per step for the carry, then
-accumulates the W, U and b gradients and the input gradient with one matmul
-each. The dense head reads the final hidden state of the top layer; for
-bidirectional stacks that is the forward direction's last state concatenated
-with the backward direction's last state.
+gate activations in place, the whole loop under one np.errstate for the
+sigmoid's exp overflow. The backward pass overwrites that buffer with the gate
+pre-activation gradients, one @ U.T per step for the carry, then accumulates
+the W, U and b gradients and the input gradient with one matmul each. The
+dense head reads the final hidden state of the top layer; for bidirectional
+stacks, the forward direction's last state then the backward direction's.
+
+Each per-sequence array a layer fills views the front of a flat buffer that
+the layer keeps and only grows, so any batch size reuses its pages: returned
+hidden states live until the layer's next forward, dx until its next backward.
 
 Gradients here are exact; tests hold them to central finite differences at
 1e-4 max relative error, and the fused cells to the per-gate reference cells
@@ -24,6 +27,7 @@ in tests/oracles.py at 1e-12.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -39,7 +43,7 @@ from .core import (
     load_params,
     mse_loss,
     save_params,
-    sigmoid,
+    sigmoid_,
     zero_grads,
 )
 
@@ -115,6 +119,14 @@ def _flat(seq):
     return seq.reshape(-1, seq.shape[-1])
 
 
+def _view(bufs, role, shape):
+    """The front of the flat buffer bufs[role], grown when too small, as a contiguous `shape` array."""
+    n = math.prod(shape)
+    if role not in bufs or bufs[role].size < n:
+        bufs[role] = np.empty(n)
+    return bufs[role][:n].reshape(shape)
+
+
 class _FusedCell:
     """Weights and the whole-sequence matmuls shared by the recurrent cells.
 
@@ -137,7 +149,7 @@ class _FusedCell:
         self.W = Param(f"{name}.W", np.concatenate(W, axis=1))
         self.U = Param(f"{name}.U", np.concatenate(U, axis=1))
         self.b = Param(f"{name}.b", self._initial_bias(hidden))
-        self._cache = None
+        self.release()
 
     def _initial_bias(self, hidden):
         return np.zeros(len(self.GATES) * hidden)
@@ -145,14 +157,20 @@ class _FusedCell:
     def params(self):
         return [self.W, self.U, self.b]
 
+    def release(self):
+        """Drop the forward cache and the reused buffers, leaving only the weights."""
+        self._cache = None
+        self._bufs = {}
+
     def _project(self, x):
-        """x @ W + b for every timestep: (T, B, D) -> a new (T, B, G*H) buffer."""
+        """x @ W + b for every timestep: (T, B, D) -> the (T, B, G*H) buffer A."""
         T, B, D = x.shape
         if D != self.W.value.shape[0]:
             raise ConfigError(f"{self.W.name}: expected input dim {self.W.value.shape[0]}, got {D}")
-        A = _flat(x) @ self.W.value
+        A = _view(self._bufs, "A", (T, B, self.b.value.size))
+        np.matmul(_flat(x), self.W.value, out=_flat(A))
         A += self.b.value
-        return A.reshape(T, B, -1)
+        return A
 
     def _take_cache(self):
         if self._cache is None:
@@ -165,7 +183,9 @@ class _FusedCell:
         dA = _flat(dA)
         self.W.grad += _flat(x).T @ dA
         self.b.grad += dA.sum(axis=0)
-        return (dA @ self.W.value.T).reshape(x.shape) if need_dx else None
+        if need_dx:
+            dx = _view(self._bufs, "dx", x.shape)
+            return np.matmul(dA, self.W.value.T, out=_flat(dx)).reshape(x.shape)
 
 
 class RNNLayer(_FusedCell):
@@ -176,16 +196,17 @@ class RNNLayer(_FusedCell):
     def forward(self, x):
         hs = self._project(x)  # turned into the hidden states step by step
         U = self.U.value
-        for t in range(len(hs)):
+        for t, h in enumerate(hs):
             if t:
-                hs[t] += hs[t - 1] @ U
-            np.tanh(hs[t], out=hs[t])
+                h += h_prev @ U
+            np.tanh(h, out=h)
+            h_prev = h
         self._cache = (x, hs)
         return hs
 
     def backward(self, dh_seq, need_dx=True):
         x, hs = self._take_cache()
-        dA = hs * hs
+        dA = np.multiply(hs, hs, out=_view(self._bufs, "dA", hs.shape))
         np.subtract(1.0, dA, out=dA)  # tanh', scaled in place into the pre-activation gradient
         U_T = self.U.value.T
         dh = dh_seq[-1]
@@ -212,23 +233,24 @@ class LSTMLayer(_FusedCell):
         T, B, _ = A.shape
         H = self.hidden
         U = self.U.value
-        Cs = np.empty((T, B, H))
-        hs = np.empty((T, B, H))
-        for t in range(T):
-            a = A[t]
-            if t:
-                a += hs[t - 1] @ U
-            f, i, c, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
-            # one sigmoid over the contiguous row is cheaper than one per column
-            # block, so the candidate's tanh is parked in Cs[t] and put back
-            np.tanh(c, out=Cs[t])
-            sigmoid(a, out=a)
-            c[...] = Cs[t]
-            Cs[t] *= i
-            if t:
-                Cs[t] += f * Cs[t - 1]
-            np.tanh(Cs[t], out=hs[t])
-            hs[t] *= o
+        Cs = _view(self._bufs, "Cs", (T, B, H))
+        hs = _view(self._bufs, "hs", (T, B, H))
+        with np.errstate(over="ignore"):  # sigmoid_'s exp overflow
+            for t, (a, C, h) in enumerate(zip(A, Cs, hs)):
+                if t:
+                    a += h_prev @ U
+                f, i, c, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+                # one sigmoid over the contiguous row is cheaper than one per column
+                # block, so the candidate's tanh is parked in C and put back
+                np.tanh(c, out=C)
+                sigmoid_(a)
+                c[...] = C
+                C *= i
+                if t:
+                    C += f * C_prev
+                np.tanh(C, out=h)
+                h *= o
+                C_prev, h_prev = C, h
         self._cache = (x, A, Cs, hs)
         return hs
 
@@ -241,13 +263,14 @@ class LSTMLayer(_FusedCell):
         # all steps at once, in place over the activations: gate gradient =
         # factor * dC_t for f, i and c, and factor * dh_t for o. Cs is dead once
         # read, so it holds tanh(C) and then the c factor.
-        F = f.copy()  # dC_{t-1} = dC_t * f_t
+        F = _view(self._bufs, "F", (T, B, H))  # dC_{t-1} = dC_t * f_t
+        F[...] = f
         np.subtract(1.0, f, out=f)
         f *= F
         f[1:] *= Cs[:-1]
         f[0] = 0.0  # f (1 - f) C_{t-1}, with C_{-1} = 0
         tC = np.tanh(Cs, out=Cs)  # recomputed rather than cached, to keep the cache small
-        dC_dh = tC * tC
+        dC_dh = np.multiply(tC, tC, out=_view(self._bufs, "dC_dh", (T, B, H)))
         np.subtract(1.0, dC_dh, out=dC_dh)
         dC_dh *= o  # dC_t += dh_t * o (1 - tanh(C)^2)
         tC *= o
@@ -260,18 +283,19 @@ class LSTMLayer(_FusedCell):
         np.subtract(1.0, i, out=i)
         i *= c  # i (1 - i) c
         c[...] = Cs
-        A4 = A.reshape(T, B, 4, H)
         U_T = self.U.value.T
         dh = dh_seq[-1]
         dC_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
+            a = A[t]
+            a4 = a.reshape(B, 4, H)
             dC = dh * dC_dh[t]
             dC += dC_next
-            A4[t, :, :3] *= dC[:, None]
-            A4[t, :, 3] *= dh
+            a4[:, :3] *= dC[:, None]
+            a4[:, 3] *= dh
             if t:
                 dC_next = dC * F[t]
-                dh = dh_seq[t - 1] + A[t] @ U_T
+                dh = dh_seq[t - 1] + a @ U_T
         self.U.grad += _flat(hs[:-1]).T @ _flat(A[1:])
         return self._input_grads(x, A, need_dx)
 
@@ -286,22 +310,22 @@ class GRULayer(_FusedCell):
         T, B, _ = A.shape
         H = self.hidden
         U_rz, U_h = self.U.value[:, : 2 * H], self.U.value[:, 2 * H :]
-        hs = np.empty((T, B, H))
-        rhs = np.empty((T, B, H))  # r * h_{t-1}, the input of U_h
-        h = np.zeros((B, H))
-        for t in range(T):
-            a = A[t]
-            rz, z, h_bar = a[:, : 2 * H], a[:, H : 2 * H], a[:, 2 * H :]
-            if t:
-                rz += h @ U_rz
-            sigmoid(rz, out=rz)
-            np.multiply(a[:, :H], h, out=rhs[t])
-            if t:
-                h_bar += rhs[t] @ U_h
-            np.tanh(h_bar, out=h_bar)
-            np.multiply(1.0 - z, h, out=hs[t])
-            hs[t] += z * h_bar
-            h = hs[t]
+        hs = _view(self._bufs, "hs", (T, B, H))
+        rhs = _view(self._bufs, "rhs", (T, B, H))  # r * h_{t-1}, the input of U_h
+        h_prev = np.zeros((B, H))
+        with np.errstate(over="ignore"):  # sigmoid_'s exp overflow
+            for t, (a, h, rh) in enumerate(zip(A, hs, rhs)):
+                rz, z, h_bar = a[:, : 2 * H], a[:, H : 2 * H], a[:, 2 * H :]
+                if t:
+                    rz += h_prev @ U_rz
+                sigmoid_(rz)
+                np.multiply(a[:, :H], h_prev, out=rh)
+                if t:
+                    h_bar += rh @ U_h
+                np.tanh(h_bar, out=h_bar)
+                np.multiply(np.subtract(1.0, z, out=h), h_prev, out=h)
+                h += z * h_bar
+                h_prev = h
         self._cache = (x, A, rhs, hs)
         return hs
 
@@ -312,9 +336,10 @@ class GRULayer(_FusedCell):
         r, z, h_bar = (A[..., k * H : (k + 1) * H] for k in range(3))
         # Carry-independent factors for all steps, in place over the activations:
         # the z and h_bar gradients are factor * dh_t, the r gradient factor * drh_t.
-        R = r.copy()
-        dprev_dh = 1.0 - z
-        h_factor = h_bar * h_bar
+        R = _view(self._bufs, "R", (T, B, H))
+        R[...] = r
+        dprev_dh = np.subtract(1.0, z, out=_view(self._bufs, "dprev_dh", (T, B, H)))
+        h_factor = np.multiply(h_bar, h_bar, out=_view(self._bufs, "h_factor", (T, B, H)))
         np.subtract(1.0, h_factor, out=h_factor)
         h_factor *= z  # z (1 - h_bar^2)
         np.subtract(h_bar[1:], hs[:-1], out=h_bar[1:])  # h_bar - h_{t-1}, with h_{-1} = 0
@@ -326,18 +351,18 @@ class GRULayer(_FusedCell):
         r *= R
         r[1:] *= hs[:-1]
         r[0] = 0.0  # r (1 - r) h_{t-1}
-        A3 = A.reshape(T, B, 3, H)
         U_rz_T = self.U.value[:, : 2 * H].T
         U_h_T = self.U.value[:, 2 * H :].T
         dh = dh_seq[-1]
         for t in range(T - 1, -1, -1):
-            A3[t, :, 1:] *= dh[:, None]
-            drh = A[t, :, 2 * H :] @ U_h_T
-            A[t, :, :H] *= drh
+            a = A[t]
+            a.reshape(B, 3, H)[:, 1:] *= dh[:, None]  # z and h_bar
+            drh = a[:, 2 * H :] @ U_h_T
+            a[:, :H] *= drh
             if t:
                 dh_prev = dh * dprev_dh[t]
                 dh_prev += drh * R[t]
-                dh_prev += A[t, :, : 2 * H] @ U_rz_T
+                dh_prev += a[:, : 2 * H] @ U_rz_T
                 dh = dh_seq[t - 1] + dh_prev
         self.U.grad[:, : 2 * H] += _flat(hs[:-1]).T @ _flat(A[1:, :, : 2 * H])
         self.U.grad[:, 2 * H :] += _flat(rhs).T @ _flat(A[:, :, 2 * H :])
@@ -352,20 +377,29 @@ class BidirectionalLayer:
         self.fwd = fwd
         self.bwd = bwd
         self.hidden = fwd.hidden
+        self._bufs = {}
 
     def params(self):
         return self.fwd.params() + self.bwd.params()
 
+    def release(self):
+        self.fwd.release()
+        self.bwd.release()
+        self._bufs = {}
+
     def forward(self, x):
-        out_f = self.fwd.forward(x)
-        out_b = self.bwd.forward(np.ascontiguousarray(x[::-1]))[::-1]
-        return np.concatenate([out_f, out_b], axis=2)
+        out = _view(self._bufs, "out", (*x.shape[:2], 2 * self.hidden))
+        x_rev = _view(self._bufs, "x_rev", x.shape)
+        x_rev[...] = x[::-1]
+        out[..., : self.hidden] = self.fwd.forward(x)
+        out[..., self.hidden :] = self.bwd.forward(x_rev)[::-1]
+        return out
 
     def backward(self, dout, need_dx=True):
         H = self.hidden
         dx_f = self.fwd.backward(dout[:, :, :H], need_dx)
         dx_b = self.bwd.backward(dout[::-1, :, H:], need_dx)
-        return dx_f + dx_b[::-1] if need_dx else None
+        return np.add(dx_f, dx_b[::-1], out=_view(self._bufs, "dx", dx_f.shape)) if need_dx else None
 
 
 _CELLS = {"rnn": RNNLayer, "lstm": LSTMLayer, "gru": GRULayer}
@@ -432,10 +466,9 @@ class RecurrentModel:
             dseq = self.layers[depth].backward(dseq, need_dx=depth > 0)
 
     def _drop_caches(self) -> None:
-        """Release the forward caches, which only backward_batch reads."""
+        """Release the forward caches and the layers' buffers, leaving only the parameters."""
         for layer in self.layers:
-            for cell in (layer.fwd, layer.bwd) if isinstance(layer, BidirectionalLayer) else (layer,):
-                cell._cache = None
+            layer.release()
         self.head._x = None
 
 
@@ -529,8 +562,7 @@ def train(
 
     for p, v in zip(params, best_values):
         p.value[...] = v
-    # once here, not after each validation pass: freeing the caches every epoch
-    # made the next batch fault their pages in again
+    # once here, not after each validation pass, which would re-fault every buffer
     model._drop_caches()
     if train_ds.norm_fingerprint is not None:
         model.stats_fingerprint = train_ds.norm_fingerprint

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -151,6 +152,19 @@ class TestNormalizer:
         assert na.norm_fingerprint == stats_a.fingerprint
         with pytest.raises(ValueError):
             stats_a.feature_mean[0] = 99.0  # frozen arrays
+
+    def test_fingerprint_hashed_once_per_stats(self, rng, monkeypatch):
+        stats = fit_normalizer(tiny_dataset(rng))
+        digest = hashlib.sha256()
+        for part in (stats.feature_mean, stats.feature_std, np.float64(stats.target_mean),
+                     np.float64(stats.target_std)):
+            digest.update(part.tobytes())
+        made = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda: made.append(1) or sha256())
+        for _ in range(2):
+            assert stats.fingerprint == digest.hexdigest()[:16]
+        assert len(made) == 1  # the second read hashed nothing
 
     def test_metrics_equal_in_raw_space(self, rng):
         # dual path: metrics on inverted predictions == metrics computed rawly

@@ -1,5 +1,7 @@
+import pickle
 import re
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import oracles
 from fxevent.nn import models
 from fxevent.dataset import Dataset, NormStats, Sample, apply_norm, fit_normalizer, invert_target
 from fxevent.errors import ConfigError
-from fxevent.nn.core import grad_check, sigmoid, zero_grads
+from fxevent.nn.core import grad_check, sigmoid_, zero_grads
 from fxevent.nn.models import (
     KINDS,
     BidirectionalLayer,
@@ -52,7 +54,7 @@ def hand_lstm(layer, x):
             x_t @ gate(layer.W, k, H) + h @ gate(layer.U, k, H) + gate(layer.b, k, H)
             for k in range(4)
         ]
-        f, i, c_bar, o = sigmoid(pre[0]), sigmoid(pre[1]), np.tanh(pre[2]), sigmoid(pre[3])
+        f, i, c_bar, o = sigmoid_(pre[0]), sigmoid_(pre[1]), np.tanh(pre[2]), sigmoid_(pre[3])
         C = f * C + i * c_bar
         h = o * np.tanh(C)
         outs.append(h)
@@ -143,8 +145,8 @@ class TestGRUCell:
         out = layer.forward(x)
         h_prev = np.zeros((1, H))
         for t in range(2):
-            r = sigmoid(x[t] @ gate(layer.W, 0, H) + h_prev @ gate(layer.U, 0, H) + gate(layer.b, 0, H))
-            z = sigmoid(x[t] @ gate(layer.W, 1, H) + h_prev @ gate(layer.U, 1, H) + gate(layer.b, 1, H))
+            r = sigmoid_(x[t] @ gate(layer.W, 0, H) + h_prev @ gate(layer.U, 0, H) + gate(layer.b, 0, H))
+            z = sigmoid_(x[t] @ gate(layer.W, 1, H) + h_prev @ gate(layer.U, 1, H) + gate(layer.b, 1, H))
             h_bar = np.tanh(
                 x[t] @ gate(layer.W, 2, H) + (r * h_prev) @ gate(layer.U, 2, H) + gate(layer.b, 2, H)
             )
@@ -202,6 +204,19 @@ class TestModelForward:
         assert np.all((c_bar > -1) & (c_bar < 1))
         tC = np.tanh(C)
         assert np.all((tC > -1) & (tC < 1))
+
+    @pytest.mark.parametrize("cell", [LSTMLayer, GRULayer])
+    def test_saturated_pre_activations_stay_finite_and_silent(self, rng, cell):
+        # exp overflows for the -800 gates; the step loop's errstate silences it
+        # and must leave numpy's error state as it found it
+        layer = zero_layer(cell(3, 4, rng, "l"))
+        layer.b.value[...] = np.where(np.arange(layer.b.value.size) % 2, 800.0, -800.0)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = layer.forward(rng.normal(size=(5, 2, 3)))
+        assert np.all(np.isfinite(out))
+        assert np.geterr() == before
 
     def test_shape_validation(self, rng):
         cfg = ModelConfig(kind="rnn", n_timesteps=4, input_dim=3, layers=1, hidden=2, seed=1)
@@ -293,6 +308,26 @@ class TestModelBackward:
         model.backward_batch(2.0 * dpred)
         for p, g in zip(model.params(), single):
             assert np.max(np.abs(p.grad - 2.0 * g)) < 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reused_buffers_match_a_fresh_model_at_every_batch_size(self, kind):
+        # a smaller batch runs on the front of a larger one's buffers; every pass
+        # must equal a fresh model's bit for bit
+        cfg = ModelConfig(kind=kind, n_timesteps=5, input_dim=3, layers=2, hidden=4, seed=9)
+        reused = RecurrentModel(cfg)
+        data = np.random.default_rng(1)
+        for batch in (32, 7, 32, 1):
+            X = data.normal(size=(batch, 5, 3))
+            dpred = data.normal(size=batch)
+            fresh = RecurrentModel(cfg)
+            outs = []
+            for model in (reused, fresh):
+                zero_grads(model.params())
+                outs.append(model.forward_batch(X))
+                model.backward_batch(dpred)
+            assert np.array_equal(outs[0], outs[1]), batch
+            for a, b in zip(reused.params(), fresh.params(), strict=True):
+                assert np.array_equal(a.grad, b.grad), (batch, a.name)
 
 
 def cells(model):
@@ -438,16 +473,16 @@ class TestPredict:
         )
         assert np.max(np.abs(pred - manual)) < 1e-12
 
-    @pytest.mark.parametrize("kind", ["rnn", "bilstm"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_no_cache_left_after_train_and_predict(self, rng, kind):
         raw, normed, stats = self._normed(rng)
         cfg = ModelConfig(kind=kind, n_timesteps=6, input_dim=5, layers=2, hidden=3, seed=0)
 
         def cached(model):
-            cells = []
-            for layer in model.layers:
-                cells += [layer.fwd, layer.bwd] if kind == "bilstm" else [layer]
-            return [c.W.name for c in cells if c._cache is not None] + ["head"] * (model.head._x is not None)
+            """Cells holding a forward cache or a buffer, layers holding a buffer, a head holding its input."""
+            held = [c.W.name for c in cells(model) if c._cache is not None or c._bufs]
+            held += [f"layer{l}" for l, layer in enumerate(model.layers) if layer._bufs]
+            return held + ["head"] * (model.head._x is not None)
 
         model, report = train(normed, 0.2, cfg, TrainHyper(max_epochs=2))
         assert report.val_losses and cached(model) == []
@@ -455,6 +490,18 @@ class TestPredict:
         assert cached(model) != []
         predict(model, normed, stats)
         assert cached(model) == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trained_model_pickles_to_its_parameter_size(self, rng, kind):
+        # after train and predict the model holds no per-batch buffer, so a grid
+        # worker sends back little more than the parameters and their Adam state
+        raw, normed, stats = self._normed(rng, n_samples=40)
+        cfg = ModelConfig(kind=kind, n_timesteps=6, input_dim=5, layers=2, hidden=32, seed=0)
+        model, _ = train(normed, 0.2, cfg, TrainHyper(max_epochs=1))
+        predict(model, normed, stats)
+        param_bytes = sum(p.value.nbytes + p.grad.nbytes + p.adam_m.nbytes + p.adam_v.nbytes
+                          for p in model.params())
+        assert len(pickle.dumps(model)) <= 1.1 * param_bytes
 
     def test_fingerprint_mismatch_rejected(self, rng):
         raw, normed, stats = self._normed(rng)

@@ -14,7 +14,7 @@ from fxevent.nn.core import (
     load_params,
     mse_loss,
     save_params,
-    sigmoid,
+    sigmoid_,
     zero_grads,
 )
 from fxevent.nn.models import TrainHyper
@@ -22,21 +22,29 @@ from fxevent.nn.models import TrainHyper
 
 class TestActivations:
     def test_symmetry_points(self):
-        assert sigmoid(0.0) == 0.5
+        assert sigmoid_(np.array(0.0)) == 0.5
+
+    def test_in_place_and_bitwise_the_textbook_formula(self, rng):
+        x = rng.normal(scale=5, size=(3, 40))
+        a = x.copy()
+        assert sigmoid_(a) is a
+        assert np.array_equal(a, 1.0 / (1.0 + np.exp(-x)))
 
     def test_sigmoid_complement(self, rng):
         x = rng.normal(scale=3, size=100)
-        assert np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0)) < 1e-15
+        assert np.max(np.abs(sigmoid_(x.copy()) + sigmoid_(-x) - 1.0)) < 1e-15
 
     def test_saturation_is_finite(self):
         big = np.array([-1e4, -750.0, 750.0, 1e4])
-        s = sigmoid(big)
+        with np.errstate(over="ignore"):  # as the cells' step loops hold it
+            s = sigmoid_(big.copy())
         assert np.all(np.isfinite(s))
         assert s[0] == 0.0 and s[-1] == 1.0
 
     def test_ranges(self, rng):
         x = rng.normal(scale=5, size=1000)
-        assert np.all((sigmoid(x) > 0) & (sigmoid(x) < 1) | np.isin(x, [np.inf, -np.inf]))
+        s = sigmoid_(x.copy())
+        assert np.all((s > 0) & (s < 1) | np.isin(x, [np.inf, -np.inf]))
 
 
 class TestMseLoss:
@@ -113,6 +121,26 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_bitwise_equal_to_the_out_of_place_update(self, rng):
+        # adam_step works in scratch views; each value must round as the textbook
+        # expressions below do, for params of every shape a model holds. The params
+        # start at zero, so the first update's last bit shows in the value.
+        hyper = TrainHyper(lr=3e-3)
+        params = [Param(f"p{k}", np.zeros(shape)) for k, shape in enumerate([(5, 7), (7,), (3, 3)])]
+        ref = [(p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)) for p in params]
+        for t in range(1, 6):
+            for p in params:
+                p.grad[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.grad.shape)
+            adam_step(params, hyper, t)
+            for k, (p, (value, m, v)) in enumerate(zip(params, ref)):
+                m = hyper.beta1 * m + (1.0 - hyper.beta1) * p.grad
+                v = hyper.beta2 * v + (1.0 - hyper.beta2) * p.grad**2
+                m_hat = m / (1.0 - hyper.beta1**t)
+                v_hat = v / (1.0 - hyper.beta2**t)
+                ref[k] = (value - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps), m, v)
+                assert np.array_equal(p.value, ref[k][0]) and np.array_equal(p.adam_m, m)
+                assert np.array_equal(p.adam_v, v)
+
     def test_hyper_validation(self):
         with pytest.raises(ConfigError):
             TrainHyper(beta1=1.0)
@@ -134,6 +162,18 @@ class TestClip:
         clip_global_norm([p], 5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(5.0)
         assert p.grad[1] / p.grad[0] == pytest.approx(4.0 / 3.0)
+
+    @pytest.mark.parametrize("max_norm", [0.0, 1e-3, 1e3])
+    def test_bitwise_equal_to_the_out_of_place_clip(self, rng, max_norm):
+        params = [Param(f"p{k}", np.zeros(shape)) for k, shape in enumerate([(4, 6), (6,), (2, 2)])]
+        for p in params:
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        grads = [p.grad.copy() for p in params]
+        total = np.sqrt(sum(float(np.sum(g**2)) for g in grads))
+        clipped = 0.0 < max_norm < total
+        assert clip_global_norm(params, max_norm) == total
+        for p, g in zip(params, grads):
+            assert np.array_equal(p.grad, g * (max_norm / total) if clipped else g)
 
 
 class TestDense:
