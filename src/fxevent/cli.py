@@ -8,8 +8,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds_mod
 from . import events as ev_mod
 from .config import DataConfig, EventConfig, ModelArch, load_config, write_example
@@ -67,7 +65,7 @@ def cmd_events(args):
         for s in sequences:
             writer.writerow(
                 ["retracement", s.retrace_index, int(series.timestamps[s.retrace_index]),
-                 repr(s.retrace_price), s.trend]
+                 repr(float(series.closes[s.retrace_index])), s.trend]
             )
     print(
         f"{diags.pivots} pivots, {len(crosses)} crossovers, {diags.emitted} sequences "
@@ -108,7 +106,7 @@ def cmd_train(args):
                        patience=args.patience)
     model, report = train(normed, args.val_fraction, config, hyper)
     save_model(model, args.out)
-    _save_stats(stats, Path(args.out).with_suffix(".stats.json"))
+    ds_mod.save_stats(stats, Path(args.out).with_suffix(".stats.json"))
     print(
         f"trained {args.kind}/{ds.n_timesteps} for {report.epochs_run} epochs "
         f"(best {report.best_epoch}, {report.wall_time_s:.1f}s) -> {args.out}"
@@ -116,35 +114,16 @@ def cmd_train(args):
     return 0
 
 
-def _save_stats(stats, path):
-    payload = {
-        "feature_mean": list(stats.feature_mean),
-        "feature_std": list(stats.feature_std),
-        "target_mean": stats.target_mean,
-        "target_std": stats.target_std,
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
-
-
-def _load_stats(path):
-    try:
-        payload = json.loads(Path(path).read_text())
-        return ds_mod.NormStats(
-            np.array(payload["feature_mean"]),
-            np.array(payload["feature_std"]),
-            float(payload["target_mean"]),
-            float(payload["target_std"]),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: malformed stats file ({type(exc).__name__}: {exc})") from None
-
-
 def cmd_evaluate(args):
     model = load_model(args.model)
     stats_path = args.stats or Path(args.model).with_suffix(".stats.json")
-    stats = _load_stats(stats_path)
+    stats = ds_mod.load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
-    try:
+    try:  # both checks run before apply_norm divides by the stats
+        stats.check_width(ds.samples[0].window.shape[1])
+        if model.stats_fingerprint not in (None, stats.fingerprint):
+            raise ConfigError(f"stats {stats.fingerprint} do not match {args.model}, "
+                              f"which was trained with stats {model.stats_fingerprint}")
         normed = ds_mod.apply_norm(ds, stats)
     except ConfigError as exc:
         raise ConfigError(f"{stats_path}: {exc}") from None

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +31,6 @@ class Sample:
     window: np.ndarray  # (n_timesteps, n_features), oldest row first, last row = crossover bar
     target: float  # close at the retracement bar
     e2_index: int  # crossover bar index in the source series (-1 when unknown)
-    e3_index: int  # retracement bar index (-1 when unknown)
     e2_ts: int
     e3_ts: int
 
@@ -92,7 +93,6 @@ def build_samples(
                 window=window,
                 target=float(series.closes[seq.retrace_index]),
                 e2_index=e2,
-                e3_index=seq.retrace_index,
                 e2_ts=int(series.timestamps[e2]),
                 e3_ts=int(series.timestamps[seq.retrace_index]),
             )
@@ -121,6 +121,37 @@ class NormStats:
         digest.update(np.float64(self.target_mean).tobytes())
         digest.update(np.float64(self.target_std).tobytes())
         return digest.hexdigest()[:16]
+
+    def check_width(self, n_features: int) -> None:
+        if not len(self.feature_mean) == len(self.feature_std) == n_features:
+            raise ConfigError(
+                f"stats hold {len(self.feature_mean)} feature means and {len(self.feature_std)} "
+                f"feature stds, but the windows have {n_features} features"
+            )
+
+
+def save_stats(stats: NormStats, path) -> None:
+    """Write the stats as one JSON object; `load_stats` reads it back exactly."""
+    payload = {
+        "feature_mean": list(stats.feature_mean),
+        "feature_std": list(stats.feature_std),
+        "target_mean": stats.target_mean,
+        "target_std": stats.target_std,
+    }
+    Path(path).write_text(json.dumps(payload) + "\n")
+
+
+def load_stats(path) -> NormStats:
+    try:
+        payload = json.loads(Path(path).read_text())
+        return NormStats(
+            np.array(payload["feature_mean"]),
+            np.array(payload["feature_std"]),
+            float(payload["target_mean"]),
+            float(payload["target_std"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed stats file ({type(exc).__name__}: {exc})") from None
 
 
 def fit_normalizer(train: Dataset) -> NormStats:
@@ -152,12 +183,8 @@ def fit_normalizer(train: Dataset) -> NormStats:
 
 def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
     """Z-score features and targets; the result carries the stats fingerprint."""
-    n_feat = ds.samples[0].window.shape[1] if ds.samples else None
-    if n_feat is not None and not len(stats.feature_mean) == len(stats.feature_std) == n_feat:
-        raise ConfigError(
-            f"stats hold {len(stats.feature_mean)} feature means and {len(stats.feature_std)} "
-            f"feature stds, but the windows have {n_feat} features"
-        )
+    if ds.samples:
+        stats.check_width(ds.samples[0].window.shape[1])
     samples = tuple(
         replace(
             s,
@@ -202,9 +229,9 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     Rows may come in any order; each sample's rows are ordered by timestep.
     Every sample needs the same number of rows and a row in the targets file,
     every row the same number of fields, and every value must be finite; a
-    file that breaks this raises ConfigError naming it. Source-series bar
-    indices are not part of the wire format, so reloaded samples carry
-    e2_index = e3_index = -1.
+    file that breaks this raises ConfigError naming it, and the line for a
+    bad targets row. Source-series bar indices are not part of the wire
+    format, so reloaded samples carry e2_index = -1.
     """
     windows_path = f"{prefix}_windows.csv"
     with open(windows_path) as fh:
@@ -236,16 +263,20 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     meta = {}
     with open(targets_path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
-            target = float(row[3])
+            try:
+                key, e2_ts, e3_ts, target = row
+                key, e2_ts, e3_ts, target = int(key), int(e2_ts), int(e3_ts), float(target)
+            except ValueError as exc:
+                raise ConfigError(f"{targets_path}: malformed row at line {reader.line_num} ({exc})") from None
             if not math.isfinite(target):
                 raise ConfigError(f"{targets_path}: non-finite target at line {reader.line_num}")
-            meta[int(row[0])] = (int(row[1]), int(row[2]), target)
+            meta[key] = (e2_ts, e3_ts, target)
     samples = []
     for i, window in zip(ids.tolist(), windows):
         if i not in meta:
             raise ConfigError(f"{targets_path}: no row for sample {i}")
         e2_ts, e3_ts, target = meta[i]
-        samples.append(Sample(window, target, -1, -1, e2_ts, e3_ts))
+        samples.append(Sample(window, target, -1, e2_ts, e3_ts))
     return Dataset(tuple(samples), windows.shape[1], role, feature_names=feature_names)

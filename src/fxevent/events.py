@@ -90,11 +90,11 @@ class RetraceParams:
 
 @dataclass(frozen=True)
 class EventSequence:
+    """A setup: the pivot fixes the trend, and the close at retrace_index is the target."""
+
     pivot: Pivot
     cross: CrossEvent
     retrace_index: int
-    retrace_price: float  # close at retrace_index, the prediction target
-    trend: str  # UP | DOWN
 
     def __post_init__(self):
         if not (self.pivot.index < self.cross.index < self.retrace_index):
@@ -102,10 +102,12 @@ class EventSequence:
                 f"event ordering violated: {self.pivot.index} < {self.cross.index} "
                 f"< {self.retrace_index} required"
             )
-        ok_up = self.trend == UP and self.pivot.kind == TROUGH and self.cross.direction == BULLISH
-        ok_down = self.trend == DOWN and self.pivot.kind == PEAK and self.cross.direction == BEARISH
-        if not (ok_up or ok_down):
-            raise ConfigError(f"trend {self.trend} inconsistent with pivot/cross kinds")
+        if (self.pivot.kind == TROUGH) != (self.cross.direction == BULLISH):
+            raise ConfigError(f"{self.pivot.kind} pivot cannot pair with a {self.cross.direction} cross")
+
+    @property
+    def trend(self) -> str:
+        return UP if self.pivot.kind == TROUGH else DOWN
 
 
 @dataclass
@@ -204,41 +206,32 @@ def retracement_candidates(closes: np.ndarray, radius: int) -> tuple[np.ndarray,
 def find_retracement(
     series: CandleSeries,
     cross: CrossEvent,
-    trend: str,
-    params: RetraceParams = RetraceParams(),
-    barrier: int | None = None,
-    candidates: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[int, float] | None:
-    """First counter-trend close after the crossover, or None.
+    params: RetraceParams,
+    barrier: int,
+    candidates: tuple[np.ndarray, np.ndarray],
+) -> int | None:
+    """Bar index of the first counter-trend close after the crossover, or None.
 
-    For an up trend: the first t in the open interval
+    After a bullish crossover: the first t in the open interval
     (cross.index, min(cross.index + lookahead, barrier)) where close[t] is a
     strict local minimum over [t - m, t + m] and close[t] < close[cross.index].
-    Down trends mirror with a local maximum above the crossover close. The
-    extremum window must lie fully inside the series.
+    Bearish crossovers mirror with a local maximum above the crossover close.
+    The extremum window must lie fully inside the series.
 
-    `candidates` is `retracement_candidates(series.closes, params.local_radius)`;
-    it is computed here when not given, so pass it in when searching one series
-    many times.
+    `candidates` is `retracement_candidates(series.closes, params.local_radius)`,
+    computed once per series by the caller.
     """
     closes = series.closes
-    if barrier is None:
-        barrier = len(closes)
-    if candidates is None:
-        candidates = retracement_candidates(closes, params.local_radius)
     start = cross.index + 1
     end = max(start, min(cross.index + params.lookahead, barrier))
     ref = closes[cross.index]
     span = closes[start:end]
-    if trend == UP:
+    if cross.direction == BULLISH:
         hits = candidates[0][start:end] & (span < ref)
     else:
         hits = candidates[1][start:end] & (span > ref)
     first = np.flatnonzero(hits)
-    if first.size == 0:
-        return None
-    t = start + int(first[0])
-    return t, float(closes[t])
+    return start + int(first[0]) if first.size else None
 
 
 def assemble_sequences(
@@ -272,28 +265,24 @@ def assemble_sequences(
 
     sequences: list[EventSequence] = []
     for pivot, barrier in zip(pivots, next_index):
-        want, trend = (BULLISH, UP) if pivot.kind == TROUGH else (BEARISH, DOWN)
-        positions, indices = by_direction[want]
+        positions, indices = by_direction[BULLISH if pivot.kind == TROUGH else BEARISH]
         k = int(np.searchsorted(indices, pivot.index, side="right"))
         if k == len(positions) or indices[k] >= barrier:
             diags.pivots_unmatched += 1
             continue
         diags.eligible_crossovers += 1
         cross = crosses[positions[k]]
-        hit = find_retracement(series, cross, trend, params, barrier, candidates)
+        hit = find_retracement(series, cross, params, barrier, candidates)
         if hit is None:
             diags.no_retracement += 1
             continue
-        sequences.append(EventSequence(pivot, cross, hit[0], hit[1], trend))
+        sequences.append(EventSequence(pivot, cross, hit))
         diags.emitted += 1
     return sequences, diags
 
 
-def filter_causal(
-    sequences: list[EventSequence], diags: SequenceDiagnostics | None = None
-) -> list[EventSequence]:
+def filter_causal(sequences: list[EventSequence], diags: SequenceDiagnostics) -> list[EventSequence]:
     """Drop sequences whose crossover fires before the pivot was confirmable."""
     kept = [s for s in sequences if s.cross.index >= s.pivot.confirm_index]
-    if diags is not None:
-        diags.dropped_noncausal += len(sequences) - len(kept)
+    diags.dropped_noncausal += len(sequences) - len(kept)
     return kept

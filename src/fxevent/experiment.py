@@ -206,6 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 models_dir = out_dir / "models"
                 models_dir.mkdir(exist_ok=True)
                 save_model(model, models_dir / f"{stem}.model.txt")
+                ds_mod.save_stats(entry["stats"], models_dir / f"{stem}.model.stats.json")
         except Exception as exc:  # isolate the failing grid cell
             cell.error = f"{type(exc).__name__}: {exc}"
 

@@ -377,7 +377,7 @@ def quadratic_assemble_sequences(pivots, crosses, series, params):
         if hit is None:
             diags.no_retracement += 1
             continue
-        sequences.append(EventSequence(pivot, cross, hit[0], hit[1], trend))
+        sequences.append(EventSequence(pivot, cross, hit[0]))
         diags.emitted += 1
     sequences.sort(key=lambda s: s.cross.index)
     return sequences, diags

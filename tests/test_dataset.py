@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fxevent.cli import main
 from fxevent.csvio import format_rows
 from fxevent.dataset import (
     Dataset,
@@ -38,13 +40,15 @@ class TestBuildSamples:
     def test_window_rows_match_feature_matrix(self, synth, pipeline):
         fm, sequences = pipeline
         samples, _ = build_samples(fm, sequences, 30, synth)
+        retrace_at = {q.cross.index: q.retrace_index for q in sequences}
         assert len(samples) > 0
         for s in samples[:10]:
             e2 = s.e2_index
             assert s.window.shape == (30, 28)
             assert np.array_equal(s.window, fm.values[e2 - 29 : e2 + 1])
             assert np.isfinite(s.window).all()
-            assert s.target == synth.closes[s.e3_index]
+            e3 = retrace_at[e2]
+            assert s.target == synth.closes[e3] and s.e3_ts == synth.timestamps[e3]
 
     def test_short_history_skipped(self, synth, pipeline):
         fm, sequences = pipeline
@@ -76,8 +80,7 @@ def tiny_dataset(rng, n_samples=6, n=4, n_feat=3):
     samples = []
     for i in range(n_samples):
         window = rng.normal(loc=2.0, scale=1.5, size=(n, n_feat))
-        samples.append(Sample(window, float(rng.normal(1.1, 0.05)), 100 + i, 110 + i,
-                              1000 + i, 2000 + i))
+        samples.append(Sample(window, float(rng.normal(1.1, 0.05)), 100 + i, 1000 + i, 2000 + i))
     return Dataset(tuple(samples), n, "train")
 
 
@@ -88,7 +91,7 @@ class TestNormalizer:
         for w in windows:
             w[:, 1] = 7.0
         samples = tuple(
-            Sample(w, s.target, s.e2_index, s.e3_index, s.e2_ts, s.e3_ts)
+            Sample(w, s.target, s.e2_index, s.e2_ts, s.e3_ts)
             for w, s in zip(windows, ds.samples)
         )
         with pytest.warns(UserWarning, match="constant feature"):
@@ -109,7 +112,7 @@ class TestNormalizer:
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
         w2 = np.array([[5.0, 6.0], [7.0, 8.0]])
         ds = Dataset(
-            (Sample(w1, 10.0, 0, 1, 0, 1), Sample(w2, 20.0, 2, 3, 2, 3)), 2, "train"
+            (Sample(w1, 10.0, 0, 0, 1), Sample(w2, 20.0, 2, 2, 3)), 2, "train"
         )
         stats = fit_normalizer(ds)
         assert stats.feature_mean.tolist() == [4.0, 5.0]
@@ -199,7 +202,7 @@ class TestSerialization:
             assert np.array_equal(a.window, b.window)
             assert a.target == b.target
             assert (a.e2_ts, a.e3_ts) == (b.e2_ts, b.e3_ts)
-            assert a.e2_index == -1 and a.e3_index == -1  # indices are not wire format
+            assert a.e2_index == -1  # indices are not wire format
 
     def test_header_carries_feature_names(self, rng, tmp_path):
         ds = tiny_dataset(rng)
@@ -214,8 +217,8 @@ class TestSerialization:
     def test_golden_bytes(self, tmp_path):
         ds = Dataset(
             (
-                Sample(np.array([[0.1, -2.5e-300], [1e16, 3.0]]), 1.1, 5, 9, 1000, 2000),
-                Sample(np.array([[-0.0, 123.456], [7.0, 1 / 3]]), 0.86, 6, 12, 1900, 3800),
+                Sample(np.array([[0.1, -2.5e-300], [1e16, 3.0]]), 1.1, 5, 1000, 2000),
+                Sample(np.array([[-0.0, 123.456], [7.0, 1 / 3]]), 0.86, 6, 1900, 3800),
             ),
             2,
             "train",
@@ -244,7 +247,7 @@ class TestSerialization:
         targets=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
     )
     def test_round_trip_is_bitwise(self, tmp_path_factory, windows, targets):
-        samples = tuple(Sample(w, targets[i], -1, -1, i, 2 * i) for i, w in enumerate(windows))
+        samples = tuple(Sample(w, targets[i], -1, i, 2 * i) for i, w in enumerate(windows))
         prefix = tmp_path_factory.mktemp("rt") / "ds"
         save_dataset(Dataset(samples, windows.shape[1], "train"), prefix)
         back = load_dataset(prefix)
@@ -291,6 +294,22 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"n_{name}.csv: non-finite"):
             load_dataset(tmp_path / "n")
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("1,1001,2001", "not enough values"), ("1,1001,2001,abc", "'abc'"), ("x1,1001,2001,1.1", "'x1'")],
+    )
+    def test_malformed_target_row_names_file_and_line(self, rng, tmp_path, capsys, row, reason):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "t")
+        path = tmp_path / "t_targets.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = row + "\r\n"
+        path.write_text("".join(lines))
+        message = f"{path}: malformed row at line 3 ("
+        with pytest.raises(ConfigError, match=re.escape(message) + f".*{re.escape(reason)}"):
+            load_dataset(tmp_path / "t")
+        assert main(["train", "--dataset", str(tmp_path / "t"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("cut", ["row", "field"])
     def test_ragged_windows_name_file(self, rng, tmp_path, cut):
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "r")
@@ -312,6 +331,6 @@ class TestDatasetInvariants:
             ds.samples[0].window[0, 0] = 5.0
 
     def test_mismatched_window_length_rejected(self, rng):
-        s = Sample(np.zeros((3, 2)), 1.0, 0, 1, 0, 1)
+        s = Sample(np.zeros((3, 2)), 1.0, 0, 0, 1)
         with pytest.raises(ConfigError):
             Dataset((s,), 4, "train")

@@ -19,6 +19,7 @@ from fxevent.events import (
     crossovers,
     filter_causal,
     find_retracement,
+    retracement_candidates,
     zigzag,
 )
 from fxevent.indicators import ema
@@ -142,34 +143,47 @@ class TestCrossovers:
             crossovers(np.zeros(3), np.zeros(4))
 
 
+def retrace(series, cross, params, barrier=None):
+    """find_retracement over the series, with the candidates assemble_sequences would pass."""
+    barrier = len(series) if barrier is None else barrier
+    return find_retracement(
+        series, cross, params, barrier, retracement_candidates(series.closes, params.local_radius)
+    )
+
+
 class TestFindRetracement:
     def test_monotone_rise_no_retracement(self):
         closes = np.linspace(1.10, 1.20, 50)
         series = flat_series(closes)
-        assert find_retracement(series, CrossEvent(5, BULLISH), UP, RetraceParams(1, 30)) is None
+        assert retrace(series, CrossEvent(5, BULLISH), RetraceParams(1, 30)) is None
 
     def test_dip_found(self):
         closes = np.array([1.12, 1.11, 1.10, 1.08, 1.07, 1.09, 1.11, 1.12, 1.13, 1.14])
         series = flat_series(closes)
-        hit = find_retracement(series, CrossEvent(0, BULLISH), UP, RetraceParams(1, 30))
-        assert hit == (4, pytest.approx(1.07))
+        assert retrace(series, CrossEvent(0, BULLISH), RetraceParams(1, 30)) == 4
 
     def test_dip_past_lookahead_excluded(self):
         closes = np.concatenate([np.linspace(1.10, 1.16, 30), [1.05], np.linspace(1.06, 1.10, 9)])
         series = flat_series(closes)
-        assert find_retracement(series, CrossEvent(0, BULLISH), UP, RetraceParams(1, 20)) is None
+        assert retrace(series, CrossEvent(0, BULLISH), RetraceParams(1, 20)) is None
 
     def test_barrier_respected(self):
         closes = np.array([1.10, 1.11, 1.12, 1.09, 1.13, 1.14])
         series = flat_series(closes)
-        hit = find_retracement(series, CrossEvent(0, BULLISH), UP, RetraceParams(1, 30), barrier=3)
+        hit = retrace(series, CrossEvent(0, BULLISH), RetraceParams(1, 30), barrier=3)
         assert hit is None  # the dip at 3 sits on the barrier, outside the open interval
 
     def test_down_trend_mirror(self):
         closes = np.array([1.14, 1.13, 1.12, 1.15, 1.11, 1.10, 1.09, 1.08])
         series = flat_series(closes)
-        hit = find_retracement(series, CrossEvent(1, BEARISH), DOWN, RetraceParams(1, 30))
-        assert hit == (3, pytest.approx(1.15))
+        assert retrace(series, CrossEvent(1, BEARISH), RetraceParams(1, 30)) == 3
+
+    def test_direction_comes_from_the_cross(self):
+        # a dip at 3 and a pop at 6: the bullish cross finds the dip, the bearish one the pop
+        closes = np.array([1.12, 1.13, 1.12, 1.10, 1.13, 1.14, 1.16, 1.15, 1.14, 1.13])
+        series = flat_series(closes)
+        assert retrace(series, CrossEvent(1, BULLISH), RetraceParams(1, 30)) == 3
+        assert retrace(series, CrossEvent(1, BEARISH), RetraceParams(1, 30)) == 6
 
     def test_matches_scan_oracle(self, rng):
         for _ in range(100):
@@ -177,15 +191,11 @@ class TestFindRetracement:
             e2 = int(rng.integers(5, 60))
             trend = UP if rng.random() < 0.5 else DOWN
             barrier = int(rng.integers(e2 + 1, 120))
-            got = find_retracement(
-                series, CrossEvent(e2, BULLISH if trend == UP else BEARISH), trend,
-                RetraceParams(3, 40), barrier,
+            got = retrace(
+                series, CrossEvent(e2, BULLISH if trend == UP else BEARISH), RetraceParams(3, 40), barrier
             )
             expected = oracles.retracement_scan(series.closes, e2, trend, 3, 40, barrier)
-            if expected is None:
-                assert got is None
-            else:
-                assert got == (expected[0], pytest.approx(expected[1]))
+            assert got == (None if expected is None else expected[0])
 
     def test_result_inside_open_interval(self, rng):
         params = RetraceParams(3, 40)
@@ -193,9 +203,10 @@ class TestFindRetracement:
             series = random_walk_series(rng, 150, vol_pips=15)
             e2 = int(rng.integers(5, 80))
             barrier = int(rng.integers(e2 + 2, 150))
-            hit = find_retracement(series, CrossEvent(e2, BULLISH), UP, params, barrier)
+            direction = BULLISH if rng.random() < 0.5 else BEARISH
+            hit = retrace(series, CrossEvent(e2, direction), params, barrier)
             if hit is not None:
-                assert e2 < hit[0] < min(e2 + params.lookahead, barrier)
+                assert e2 < hit < min(e2 + params.lookahead, barrier)
 
 
 class TestAssembleSequences:
@@ -218,7 +229,7 @@ class TestAssembleSequences:
         seq = sequences[0]
         assert seq.pivot.index == 2 and seq.cross.index == 4 and seq.retrace_index == 8
         assert seq.trend == UP
-        assert seq.retrace_price == pytest.approx(1.113)
+        assert series.closes[seq.retrace_index] == pytest.approx(1.113)
         assert diags.eligible_crossovers == 1 and diags.emitted == 1
 
     def test_direction_mismatch_not_consumed(self):
@@ -261,9 +272,18 @@ class TestAssembleSequences:
 
     def test_sequence_constructor_validates(self):
         with pytest.raises(ConfigError):
-            EventSequence(Pivot(10, TROUGH, 1.0, 12), CrossEvent(5, BULLISH), 20, 1.0, UP)
+            EventSequence(Pivot(10, TROUGH, 1.0, 12), CrossEvent(5, BULLISH), 20)
         with pytest.raises(ConfigError):
-            EventSequence(Pivot(1, TROUGH, 1.0, 3), CrossEvent(5, BEARISH), 20, 1.0, UP)
+            EventSequence(Pivot(1, TROUGH, 1.0, 3), CrossEvent(5, BEARISH), 20)
+
+    @pytest.mark.parametrize("kind, direction", [(TROUGH, BEARISH), (PEAK, BULLISH)])
+    def test_sequence_rejects_pivot_cross_mismatch(self, kind, direction):
+        with pytest.raises(ConfigError, match=f"{kind} pivot cannot pair with a {direction} cross"):
+            EventSequence(Pivot(1, kind, 1.0, 3), CrossEvent(5, direction), 20)
+
+    @pytest.mark.parametrize("kind, direction, trend", [(TROUGH, BULLISH, UP), (PEAK, BEARISH, DOWN)])
+    def test_sequence_trend_follows_pivot(self, kind, direction, trend):
+        assert EventSequence(Pivot(1, kind, 1.0, 3), CrossEvent(5, direction), 20).trend == trend
 
     def test_causal_filter(self, synth):
         pivots = zigzag(synth)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from fxevent import config as config_mod
 from fxevent import experiment
-from fxevent.cli import _load_stats, main
+from fxevent.cli import main
 from fxevent.config import (
     EXAMPLE,
     DataConfig,
@@ -24,18 +25,19 @@ from fxevent.config import (
     load_config,
     write_example,
 )
-from fxevent.dataset import Dataset, Sample
+from fxevent.dataset import Dataset, Sample, load_stats
 from fxevent.errors import ConfigError
-from fxevent.events import RetraceParams, ZigZagParams
+from fxevent.events import TROUGH, RetraceParams, ZigZagParams
 from fxevent.experiment import (
     baseline_persistence,
     cell_seed,
+    detect_events,
     emit_predictions,
     resolve_cutoff,
     run_experiment,
 )
 from fxevent.indicators import IndicatorParams
-from fxevent.market_data import RegimeParams
+from fxevent.market_data import RegimeParams, load_csv
 from fxevent.nn.models import TrainHyper
 
 
@@ -86,7 +88,7 @@ class TestBaselinePersistence:
             assert p == synth.closes[s.e2_index]
 
     def test_requires_indices(self, synth, rng):
-        s = Sample(rng.normal(size=(4, 3)), 1.0, -1, -1, 0, 1)
+        s = Sample(rng.normal(size=(4, 3)), 1.0, -1, 0, 1)
         with pytest.raises(ConfigError):
             baseline_persistence(Dataset((s,), 4, "test"), synth)
 
@@ -108,7 +110,7 @@ class TestBaselinePersistence:
         pers_mae = mae(ds.targets(), baseline_persistence(ds, synth))
         kept = {s.e2_index for s in samples}
         depths = [
-            abs(synth.closes[q.cross.index] - q.retrace_price)
+            abs(synth.closes[q.cross.index] - synth.closes[q.retrace_index])
             for q in seqs
             if q.cross.index in kept
         ]
@@ -119,7 +121,7 @@ class TestBaselinePersistence:
 class TestEmitPredictions:
     def test_columns_and_consistency(self, tmp_path, rng):
         samples = tuple(
-            Sample(rng.normal(size=(3, 2)), 1.1, i, i + 1, 1000 + i, 2000 + i) for i in range(5)
+            Sample(rng.normal(size=(3, 2)), 1.1, i, 1000 + i, 2000 + i) for i in range(5)
         )
         true = rng.normal(1.1, 0.01, size=5)
         pred = rng.normal(1.1, 0.01, size=5)
@@ -136,7 +138,7 @@ class TestEmitPredictions:
 
     def test_bytes_match_csv_writer(self, tmp_path, rng):
         samples = tuple(
-            Sample(rng.normal(size=(3, 2)), 1.1, i, i + 1, 10**9 + i, 10**9 + 60 * i) for i in range(200)
+            Sample(rng.normal(size=(3, 2)), 1.1, i, 10**9 + i, 10**9 + 60 * i) for i in range(200)
         )
         true = rng.uniform(0.5, 2.0, size=200)
         pred = true + rng.normal(0.0, 0.01, size=200) * rng.integers(0, 2, size=200)  # some exact hits
@@ -157,7 +159,7 @@ class TestEmitPredictions:
         from fxevent.metrics import mape
 
         samples = tuple(
-            Sample(rng.normal(size=(3, 2)), 1.1, i, i + 1, 1000 + i, 2000 + i) for i in range(50)
+            Sample(rng.normal(size=(3, 2)), 1.1, i, 1000 + i, 2000 + i) for i in range(50)
         )
         true = rng.normal(1.1, 0.01, size=50)
         pred = rng.normal(1.1, 0.01, size=50)
@@ -289,7 +291,7 @@ class TestWorkers:
             result = run_on_cpus(monkeypatch, cfg, cpus)
             assert not result.failed
             trees.append(tree_bytes(cfg.out_dir))
-        assert len(trees[0]) == 8 * 3 + 3  # predictions, train report and model per cell; 3 reports
+        assert len(trees[0]) == 8 * 4 + 3  # predictions, train report, model and stats per cell; 3 reports
         assert trees[0].keys() == trees[1].keys()
         for name in trees[0]:
             assert trees[0][name] == trees[1][name], name
@@ -520,6 +522,22 @@ class TestCli:
         assert (tmp_path / "ds_windows.csv").exists()
         assert (tmp_path / "ds_targets.csv").exists()
 
+    def test_events_retracement_rows(self, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "7", "--n", "3000", "--out", str(series_csv)])
+        assert main(["events", "--csv", str(series_csv), "--out", str(tmp_path / "e.csv")]) == 0
+        series = load_csv(series_csv, DataConfig.symbol)
+        _, _, sequences, _ = detect_events(series, ZigZagParams(), EventConfig(), RetraceParams())
+        with open(tmp_path / "e.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["kind"] == "retracement"]
+        assert len(rows) == len(sequences) > 0
+        for row, seq in zip(rows, sequences):
+            index = int(row["index"])
+            assert index == seq.retrace_index
+            assert row["price"] == repr(float(series.closes[index]))
+            assert (row["direction"] == "up") == (seq.pivot.kind == TROUGH)
+            assert row["direction"] in ("up", "down")
+
     def test_train_then_evaluate(self, tmp_path):
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
@@ -603,6 +621,45 @@ class TestCli:
         assert err.startswith(f"error: {stats_path}: ")
         assert "5 feature means" in err and "28 features" in err
 
+    def test_stats_checked_against_model_before_normalizing(self, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
+        main(["dataset", "--csv", str(series_csv), "--timesteps", "16", "--out", str(tmp_path / "ds")])
+        model_path = tmp_path / "m.model.txt"
+        main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
+              "--epochs", "1", "--out", str(model_path)])
+        stats = json.loads((tmp_path / "m.model.stats.json").read_text())
+        stats["feature_std"][0] = 0.0
+        stats_path = tmp_path / "zero.stats.json"
+        stats_path.write_text(json.dumps(stats))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a division by the zero std would raise here
+            assert main(["evaluate", "--model", str(model_path), "--stats", str(stats_path),
+                         "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stats_path}: stats ")
+        assert f"do not match {model_path}" in err
+
+    def test_saved_grid_model_evaluates(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            "[data]\nn = 2600\n"
+            "[grid]\nkinds = lstm\ntimesteps = 20\n"
+            "[model]\nhidden = 4\n"
+            "[training]\nmax_epochs = 1\n"
+            f"[output]\ndir = {tmp_path / 'out'}\nsave_models = true\n"
+        )
+        assert main(["experiment", "--config", str(cfg_path)]) == 0
+        models = tmp_path / "out" / "models"
+        assert sorted(p.name for p in models.iterdir()) == ["lstm_20.model.stats.json", "lstm_20.model.txt"]
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--n", "2600", "--out", str(series_csv)])
+        main(["dataset", "--csv", str(series_csv), "--timesteps", "20", "--out", str(tmp_path / "ds")])
+        assert main(["evaluate", "--model", str(models / "lstm_20.model.txt"),
+                     "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 0
+        assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["model"] == "lstm"
+
     @pytest.mark.parametrize(
         "text", ['{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}', "{not json"]
     )
@@ -610,7 +667,7 @@ class TestCli:
         path = tmp_path / "m.stats.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
-            _load_stats(path)
+            load_stats(path)
 
     def test_failed_cell_gives_nonzero_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

@@ -22,6 +22,7 @@ from fxevent.events import (
     assemble_sequences,
     crossovers,
     find_retracement,
+    retracement_candidates,
     zigzag,
 )
 from fxevent.indicators import adx, ema, rsi
@@ -89,12 +90,13 @@ def test_events_equal_loops_on_walks(series, fast, slow, depth, deviation, backs
     params = RetraceParams(radius, radius + extra)
     got = assemble_sequences(pivots, crosses, series, params)
     assert got == oracles.quadratic_assemble_sequences(pivots, crosses, series, params)
+    candidates = retracement_candidates(c, radius)
     for cross in crosses[:20]:
-        for trend in (UP, DOWN):
-            for barrier in (None, cross.index, cross.index + radius + 1):
-                assert find_retracement(series, cross, trend, params, barrier) == oracles.loop_find_retracement(
-                    series, cross, trend, params, barrier
-                )
+        for direction, trend in ((BULLISH, UP), (BEARISH, DOWN)):
+            probe = CrossEvent(cross.index, direction)
+            for barrier in (len(c), cross.index, cross.index + radius + 1):
+                hit = oracles.loop_find_retracement(series, probe, trend, params, barrier)
+                assert find_retracement(series, probe, params, barrier, candidates) == (None if hit is None else hit[0])
 
 
 @st.composite

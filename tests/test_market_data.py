@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -117,7 +118,7 @@ class TestLoadCsv:
             tmp_path,
             "timestamp,open,high,low,close\n100,1.0,1.2,0.9,1.1\n100,1.1,1.3,1.0,1.2\n",
         )
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: duplicate timestamp 100$"):
             load_csv(path, "X")
 
     def test_out_of_order_rows_sorted(self, tmp_path):

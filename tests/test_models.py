@@ -376,7 +376,7 @@ def make_dataset(rng, n_samples, n=6, feat=5, target_fn=None):
     for i in range(n_samples):
         w = rng.normal(size=(n, feat))
         t = target_fn(w) if target_fn else float(rng.normal())
-        samples.append(Sample(w, float(t), i, i + 1, 1000 + i, 2000 + i))
+        samples.append(Sample(w, float(t), i, 1000 + i, 2000 + i))
     return Dataset(tuple(samples), n, "train")
 
 
@@ -433,7 +433,7 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts_with_diagnostics(self, rng):
         ds = make_dataset(rng, 10)
-        bad = Sample(np.full((6, 5), np.nan), 1.0, 0, 1, 0, 1)
+        bad = Sample(np.full((6, 5), np.nan), 1.0, 0, 0, 1)
         ds = Dataset(ds.samples + (bad,), 6, "train")
         cfg = ModelConfig(kind="rnn", n_timesteps=6, input_dim=5, layers=1, hidden=3, seed=1)
         with pytest.raises(RuntimeError, match="epoch"):
