@@ -15,7 +15,7 @@ from .errors import ConfigError, DataError
 from .events import RetraceParams, ZigZagParams
 from .indicators import IndicatorParams
 from .market_data import DEFAULT_PIP_SIZE, RegimeParams, parse_timestamp
-from .nn.models import KINDS, TrainHyper
+from .nn.models import KINDS, ModelConfig, TrainHyper
 
 
 @dataclass
@@ -34,6 +34,8 @@ class DataConfig:
             raise ConfigError("source = csv requires a csv path")
         if self.synth_n < 1:
             raise ConfigError(f"n must be >= 1, got {self.synth_n}")
+        if not self.pip_size > 0:
+            raise ConfigError(f"pip_size must be > 0, got {self.pip_size}")
 
 
 @dataclass
@@ -83,8 +85,8 @@ class GridConfig:
 
 @dataclass
 class ModelArch:
-    layers: int = 2
-    hidden: int = 64
+    layers: int = ModelConfig.layers
+    hidden: int = ModelConfig.hidden
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -132,7 +134,7 @@ def _keys(*names, **renamed):
 _SECTIONS = {
     "data": ("data", _keys("source", "symbol", "pip_size", csv="csv_path", seed="synth_seed", n="synth_n")),
     "regime": ("regime", _keys(
-        "start_price", "pip", "leg_len", "slope_pips", "notch_frac", "notch_retrace", "notch_down_bars",
+        "start_price", "leg_len", "slope_pips", "notch_frac", "notch_retrace", "notch_down_bars",
         "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
     )),
     "split": ("split", _keys("cutoff", "cutoff_fraction")),
@@ -219,13 +221,12 @@ EXAMPLE = """\
 source = synthetic        ; synthetic | csv
 # csv = path/to/series.csv
 symbol = SYN
-pip_size = 1e-4
+pip_size = 1e-4           ; price of one pip, the unit of every *_pips key
 seed = 7                  ; synthetic generator seed
 n = 5000                  ; synthetic bar count
 
 [regime]
 start_price = 1.10
-pip = 1e-4
 leg_len = 36,62           ; bars per trend leg (inclusive range)
 slope_pips = 1.2,2.5      ; per-bar drift magnitude
 notch_frac = 0.38,0.52    ; where in the leg the retracement dip starts

@@ -227,11 +227,13 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     """Read the CSV pair written by save_dataset.
 
     Rows may come in any order; each sample's rows are ordered by timestep.
-    Every sample needs the same number of rows and a row in the targets file,
-    every row the same number of fields, and every value must be finite; a
-    file that breaks this raises ConfigError naming it, and the line for a
-    bad targets row. Source-series bar indices are not part of the wire
-    format, so reloaded samples carry e2_index = -1.
+    Sample ids and timesteps must be integers, every sample must hold the
+    timesteps 0..T-1 once each and exactly one row in the targets file, every
+    targets row must name a sample with windows, every row needs the same
+    number of fields, and every value must be finite; a file that breaks this
+    raises ConfigError naming it, and the line for a bad targets row.
+    Source-series bar indices are not part of the wire format, so reloaded
+    samples carry e2_index = -1.
     """
     windows_path = f"{prefix}_windows.csv"
     with open(windows_path) as fh:
@@ -244,11 +246,18 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
                 raise ConfigError(f"{windows_path}: {exc}") from exc
     if rows.size == 0:
         raise ConfigError(f"{windows_path} holds no samples")
-    sid, step = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if nonfinite.size:
         i = nonfinite[0]
-        raise ConfigError(f"{windows_path}: non-finite value in sample {sid[i]} at timestep {step[i]}")
+        raise ConfigError(
+            f"{windows_path}: non-finite value in sample {rows[i, 0]:.17g} at timestep {rows[i, 1]:.17g}"
+        )
+    with np.errstate(invalid="ignore"):  # a value past int64 casts to garbage, rejected below
+        sid, step = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    fractional = np.flatnonzero((sid != rows[:, 0]) | (step != rows[:, 1]))
+    if fractional.size:
+        pair = rows[fractional[0], :2].tolist()
+        raise ConfigError(f"{windows_path}: sample_id or timestep not a 64-bit integer in row {pair}")
     order = np.lexsort((step, sid))
     ids, counts = np.unique(sid, return_counts=True)
     if np.any(counts != counts[0]):
@@ -257,10 +266,17 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
             f"{windows_path}: ragged windows, sample {ids[0]} has {counts[0]} rows "
             f"and sample {ids[bad]} has {counts[bad]}"
         )
-    windows = rows[order, 2:].reshape(len(ids), int(counts[0]), rows.shape[1] - 2)
+    n_steps = int(counts[0])
+    misnumbered = np.flatnonzero((step[order].reshape(len(ids), n_steps) != np.arange(n_steps)).any(axis=1))
+    if misnumbered.size:
+        raise ConfigError(
+            f"{windows_path}: sample {ids[misnumbered[0]]} does not hold timesteps 0..{n_steps - 1} once each"
+        )
+    windows = rows[order, 2:].reshape(len(ids), n_steps, rows.shape[1] - 2)
 
     targets_path = f"{prefix}_targets.csv"
     meta = {}
+    known = set(ids.tolist())
     with open(targets_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -272,6 +288,11 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
                 raise ConfigError(f"{targets_path}: malformed row at line {reader.line_num} ({exc})") from None
             if not math.isfinite(target):
                 raise ConfigError(f"{targets_path}: non-finite target at line {reader.line_num}")
+            if key in meta or key not in known:
+                problem = "second row" if key in meta else "no windows"
+                raise ConfigError(
+                    f"{targets_path}: malformed row at line {reader.line_num} ({problem} for sample {key})"
+                )
             meta[key] = (e2_ts, e3_ts, target)
     samples = []
     for i, window in zip(ids.tolist(), windows):

@@ -119,7 +119,7 @@ class ExperimentResult:
 def _load_series(cfg: ExperimentConfig) -> CandleSeries:
     if cfg.data.source == "csv":
         return load_csv(cfg.data.csv_path, cfg.data.symbol, cfg.data.pip_size)
-    return synthetic_series(cfg.data.synth_seed, cfg.data.synth_n, cfg.regime, cfg.data.symbol)
+    return synthetic_series(cfg.data.synth_seed, cfg.data.synth_n, cfg.regime, cfg.data.symbol, cfg.data.pip_size)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

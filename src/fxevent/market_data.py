@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError
 
 DEFAULT_PIP_SIZE = 1e-4
 TRENDS = ("alternate", "up", "down")
+SYNTH_START_TS, SYNTH_BAR_SECONDS = 1577836800, 900  # synthetic bars: 2020-01-01T00:00:00Z on, 15 minutes apart
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,6 @@ class RegimeParams:
     """
 
     start_price: float = 1.10
-    pip: float = DEFAULT_PIP_SIZE
     leg_len: tuple[int, int] = (36, 62)  # bars per trend leg, inclusive range
     slope_pips: tuple[float, float] = (1.2, 2.5)  # per-bar drift magnitude
     notch_frac: tuple[float, float] = (0.38, 0.52)  # leg fraction where the dip starts
@@ -179,15 +179,13 @@ class RegimeParams:
     wick_pips: float = 0.6
     trend: str = "alternate"  # one of TRENDS
     reversion_pips: float = 250.0  # price-level pull toward start_price; 0 disables
-    start_timestamp: int = 1577836800  # 2020-01-01T00:00:00Z
-    bar_seconds: int = 900
 
     def __post_init__(self):
         for name in ("leg_len", "slope_pips", "notch_frac", "notch_retrace"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} expects two values (low, high), got {getattr(self, name)}")
-        if self.start_price <= 0 or self.pip <= 0:
-            raise ConfigError("start_price and pip must be > 0")
+        if self.start_price <= 0:
+            raise ConfigError(f"start_price must be > 0, got {self.start_price}")
         if not (1 <= self.leg_len[0] <= self.leg_len[1]):
             raise ConfigError(f"leg_len range invalid: {self.leg_len}")
         if self.slope_pips[0] <= 0 or self.slope_pips[0] > self.slope_pips[1]:
@@ -202,13 +200,13 @@ class RegimeParams:
             raise ConfigError(f"unknown trend mode {self.trend!r}")
 
 
-def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), symbol: str = "SYN") -> CandleSeries:
-    """Deterministic synthetic OHLC series; pure function of (seed, n, regime)."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), symbol: str = "SYN",
+                     pip_size: float = DEFAULT_PIP_SIZE) -> CandleSeries:
+    """Deterministic synthetic OHLC series; pure function of its arguments, with `*_pips` in units of pip_size."""
+    if n < 1 or not pip_size > 0:
+        raise ConfigError(f"need n >= 1 and pip_size > 0, got n {n} and pip_size {pip_size}")
 
     rng = np.random.default_rng(seed)
-    pip = regime.pip
     closes = np.empty(n)
     direction = -1.0 if regime.trend == "down" else 1.0
 
@@ -216,11 +214,11 @@ def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), s
     leg_start_price = regime.start_price
     while t < n:
         leg_len = int(rng.integers(regime.leg_len[0], regime.leg_len[1] + 1))
-        slope = rng.uniform(*regime.slope_pips) * pip * direction
+        slope = rng.uniform(*regime.slope_pips) * pip_size * direction
         if regime.reversion_pips > 0:
             # shrink legs that run away from the anchor, stretch legs pulling back,
             # so the level stays range-bound and train/test windows overlap
-            drift = (leg_start_price - regime.start_price) / (regime.reversion_pips * pip)
+            drift = (leg_start_price - regime.start_price) / (regime.reversion_pips * pip_size)
             slope *= float(np.clip(1.0 - np.sign(slope) * drift, 0.6, 1.6))
         path = leg_start_price + slope * np.arange(1, leg_len + 1)
 
@@ -248,17 +246,17 @@ def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), s
             direction = -direction
 
     if regime.noise_pips > 0:
-        closes = closes + rng.normal(0.0, regime.noise_pips * pip, size=n)
+        closes = closes + rng.normal(0.0, regime.noise_pips * pip_size, size=n)
 
     opens = np.empty(n)
     opens[0] = regime.start_price
     opens[1:] = closes[:-1]
-    wick_hi = rng.uniform(0.0, 1.0, size=n) * regime.wick_pips * pip
-    wick_lo = rng.uniform(0.0, 1.0, size=n) * regime.wick_pips * pip
+    wick_hi = rng.uniform(0.0, 1.0, size=n) * regime.wick_pips * pip_size
+    wick_lo = rng.uniform(0.0, 1.0, size=n) * regime.wick_pips * pip_size
     highs = np.maximum(opens, closes) + wick_hi
     lows = np.minimum(opens, closes) - wick_lo
     if np.any(lows <= 0):
         raise ConfigError("regime drove prices non-positive; raise start_price or lower slope")
 
-    timestamps = regime.start_timestamp + regime.bar_seconds * np.arange(n, dtype=np.int64)
-    return CandleSeries(symbol, pip, timestamps, opens, highs, lows, closes)
+    timestamps = SYNTH_START_TS + SYNTH_BAR_SECONDS * np.arange(n, dtype=np.int64)
+    return CandleSeries(symbol, pip_size, timestamps, opens, highs, lows, closes)

@@ -33,23 +33,24 @@ def zero_grads(params: list[Param]) -> None:
         p.grad[...] = 0.0
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 def adam_step(params: list[Param], hyper, t: int) -> None:
-    """Bias-corrected Adam update in place, as step t >= 1, with a TrainHyper's lr, betas and eps."""
-    b1, b2 = hyper.beta1, hyper.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    """Bias-corrected Adam update in place, as step t >= 1, with a TrainHyper's lr."""
+    bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     work = np.empty(2 * max(p.value.size for p in params))
     for p in params:
         # m = b1 m + (1-b1) g; v = b2 v + (1-b2) g^2; value -= lr (m/bc1) / (sqrt(v/bc2) + eps)
         num, den = work[: 2 * p.value.size].reshape(2, *p.value.shape)
-        p.adam_m *= b1
-        p.adam_m += np.multiply(1.0 - b1, p.grad, out=num)
-        p.adam_v *= b2
-        p.adam_v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - b2, out=den)
+        p.adam_m *= ADAM_BETA1
+        p.adam_m += np.multiply(1.0 - ADAM_BETA1, p.grad, out=num)
+        p.adam_v *= ADAM_BETA2
+        p.adam_v += np.multiply(np.multiply(p.grad, p.grad, out=den), 1.0 - ADAM_BETA2, out=den)
         np.divide(p.adam_m, bc1, out=num)
         num *= hyper.lr
         np.sqrt(np.divide(p.adam_v, bc2, out=den), out=den)
-        den += hyper.eps
+        den += ADAM_EPS
         p.value -= np.divide(num, den, out=num)
 
 

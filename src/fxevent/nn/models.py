@@ -81,9 +81,6 @@ class TrainHyper:
     max_epochs: int = 100
     patience: int = 10
     clip_norm: float = 5.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.lr > 0.0:
@@ -96,8 +93,6 @@ class TrainHyper:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.clip_norm < 0:  # 0 turns clipping off
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
 
 
 @dataclass

@@ -296,7 +296,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "row, reason",
-        [("1,1001,2001", "not enough values"), ("1,1001,2001,abc", "'abc'"), ("x1,1001,2001,1.1", "'x1'")],
+        [
+            ("1,1001,2001", "not enough values"),
+            ("1,1001,2001,abc", "'abc'"),
+            ("x1,1001,2001,1.1", "'x1'"),
+            ("0,1001,2001,1.1", "second row for sample 0"),
+            ("3,1001,2001,1.1", "no windows for sample 3"),
+        ],
     )
     def test_malformed_target_row_names_file_and_line(self, rng, tmp_path, capsys, row, reason):
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "t")
@@ -322,6 +328,27 @@ class TestSerialization:
         path.write_text("".join(lines))
         with pytest.raises(ConfigError, match="r_windows.csv"):
             load_dataset(tmp_path / "r")
+
+    @pytest.mark.parametrize(
+        "line, column, value, message",
+        [
+            (2, 0, "0.7", "sample_id or timestep not a 64-bit integer in row [0.7, 0.0]"),
+            (3, 1, "1.5", "sample_id or timestep not a 64-bit integer in row [0.0, 1.5]"),
+            (2, 0, "1e300", "sample_id or timestep not a 64-bit integer in row [1e+300, 0.0]"),
+            (3, 1, "0", "sample 0 does not hold timesteps 0..3 once each"),  # repeated
+            (6, 1, "-1", "sample 1 does not hold timesteps 0..3 once each"),  # negative
+        ],
+    )
+    def test_misnumbered_windows_name_file(self, rng, tmp_path, line, column, value, message):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "w")
+        path = tmp_path / "w_windows.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        lines[line - 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            load_dataset(tmp_path / "w")
 
 
 class TestDatasetInvariants:

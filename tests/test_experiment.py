@@ -5,7 +5,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -345,7 +345,6 @@ seed = 3
 n = 1234
 [regime]
 start_price = 2.5
-pip = 1e-3
 leg_len = 10,20
 slope_pips = 1.5,3.0
 notch_frac = 0.3,0.6
@@ -415,13 +414,40 @@ class TestConfigFile:
         accepted = {(s, k) for s, (_, keys) in config_mod._SECTIONS.items() for k in keys}
         assert listed == accepted
 
+    def test_every_field_has_exactly_one_key(self):
+        # a field no key reaches is a setting only code can change; it belongs in a constant
+        reached = [(attr, name) for attr, keys in config_mod._SECTIONS.values() for name in keys.values()]
+        cfg = ExperimentConfig()
+        settable = []
+        for f in fields(cfg):
+            section = getattr(cfg, f.name)
+            if is_dataclass(section):
+                settable += [(f.name, sub.name) for sub in fields(section)]
+            else:
+                settable.append((None, f.name))
+        assert sorted(reached, key=str) == sorted(settable, key=str)
+
+    def test_data_pip_size_is_the_synthetic_unit(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[data]\npip_size = 1e-2\n[regime]\nstart_price = 110\n")
+        series = experiment._load_series(load_config(path))
+        default = experiment._load_series(ExperimentConfig())
+        assert series.pip_size == 0.01
+        assert np.max(np.abs((series.closes - 110) / 1e-2 - (default.closes - 1.10) / 1e-4)) < 1e-9
+
+    def test_data_pip_size_too_large_for_start_price(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[data]\npip_size = 1e-2\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: regime drove prices non-positive; raise start_price or lower slope\n"
+
     def test_every_key_sets_its_field(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(ALL_KEYS)
         expected = ExperimentConfig(
             data=DataConfig("csv", "x.csv", "EURUSD", 1e-2, 3, 1234),
             regime=RegimeParams(
-                2.5, 1e-3, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
+                2.5, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
             ),
             split=SplitConfig(cutoff=1609459200, cutoff_fraction=None),
             indicators=IndicatorParams(10, 30, 7, 15, 1.5, (3, 6), (7,), (9, 11), (8,)),
@@ -465,6 +491,7 @@ class TestConfigFile:
             ("[crossover]\nfast = 20\n", r"\[crossover\] need 1 <= fast < slow, got fast 20 and slow 20"),
             ("[crossover]\nslow = 3\n", r"\[crossover\] need 1 <= fast < slow, got fast 5 and slow 3"),
             ("[data]\nn = 0\n", r"\[data\] n must be >= 1, got 0"),
+            ("[data]\npip_size = 0\n", r"\[data\] pip_size must be > 0, got 0.0"),
             ("[data]\nsource = csv\n", r"\[data\] source = csv requires a csv path"),
             ("[data]\nsource = parquet\n", r"\[data\] source must be synthetic or csv, got 'parquet'"),
             ("[split]\ncutoff_fraction = 1.5\n", r"\[split\] cutoff_fraction must be in \(0, 1\), got 1.5"),

@@ -233,6 +233,8 @@ class TestSyntheticSeries:
     def test_n_validation(self):
         with pytest.raises(ConfigError):
             synthetic_series(1, 0)
+        with pytest.raises(ConfigError, match="pip_size > 0, got n 10 and pip_size 0.0"):
+            synthetic_series(1, 10, pip_size=0.0)  # a zero pip would divide by zero in the level pull
 
     def test_regime_validation(self):
         with pytest.raises(ConfigError):
