@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import dataset as ds_mod
@@ -97,19 +98,21 @@ def cmd_train(args):
     config = ModelConfig(
         kind=args.kind,
         n_timesteps=ds.n_timesteps,
-        input_dim=ds.samples[0].window.shape[1],
+        input_dim=ds.n_features,
         layers=args.layers,
         hidden=args.hidden,
         seed=args.seed,
     )
     hyper = TrainHyper(lr=args.lr, batch_size=args.batch_size, max_epochs=args.epochs,
                        patience=args.patience)
+    started = time.perf_counter()
     model, report = train(normed, args.val_fraction, config, hyper)
+    wall_time_s = time.perf_counter() - started
     save_model(model, args.out)
     ds_mod.save_stats(stats, Path(args.out).with_suffix(".stats.json"))
     print(
         f"trained {args.kind}/{ds.n_timesteps} for {report.epochs_run} epochs "
-        f"(best {report.best_epoch}, {report.wall_time_s:.1f}s) -> {args.out}"
+        f"(best {report.best_epoch}, {wall_time_s:.1f}s) -> {args.out}"
     )
     return 0
 
@@ -120,7 +123,7 @@ def cmd_evaluate(args):
     stats = ds_mod.load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
     try:  # both checks run before apply_norm divides by the stats
-        stats.check_width(ds.samples[0].window.shape[1])
+        stats.check_width(ds.n_features)
         if model.stats_fingerprint not in (None, stats.fingerprint):
             raise ConfigError(f"stats {stats.fingerprint} do not match {args.model}, "
                               f"which was trained with stats {model.stats_fingerprint}")

@@ -47,6 +47,8 @@ class Dataset:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.samples:
+            raise ConfigError("a dataset needs at least one sample")
         for s in self.samples:
             if s.window.shape[0] != self.n_timesteps:
                 raise ConfigError(
@@ -56,10 +58,12 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.samples)
 
+    @property
+    def n_features(self) -> int:
+        return self.samples[0].window.shape[1]
+
     def windows(self) -> np.ndarray:
-        """(n_samples, n_timesteps, n_features) stack; empty datasets yield shape (0, n, 0)."""
-        if not self.samples:
-            return np.zeros((0, self.n_timesteps, 0))
+        """(n_samples, n_timesteps, n_features) stack."""
         return np.stack([s.window for s in self.samples])
 
     def targets(self) -> np.ndarray:
@@ -110,6 +114,10 @@ class NormStats:
     target_std: float
 
     def __post_init__(self):
+        if not np.isfinite([*self.feature_mean, *self.feature_std, self.target_mean, self.target_std]).all():
+            raise ConfigError("stats hold a non-finite value")
+        if not (np.all(self.feature_std > 0) and self.target_std > 0):
+            raise ConfigError("stats hold a standard deviation that is not positive")
         self.feature_mean.setflags(write=False)
         self.feature_std.setflags(write=False)
 
@@ -160,9 +168,7 @@ def fit_normalizer(train: Dataset) -> NormStats:
     Standard deviations below 1e-12 are replaced by 1.0 (with a warning) so constant
     columns pass through centered instead of exploding.
     """
-    if len(train) == 0:
-        raise ConfigError("cannot fit normalizer on an empty dataset")
-    rows = train.windows().reshape(-1, train.samples[0].window.shape[1])
+    rows = train.windows().reshape(-1, train.n_features)
     mean = rows.mean(axis=0)
     std = rows.std(axis=0)
     degenerate = std < 1e-12
@@ -183,8 +189,7 @@ def fit_normalizer(train: Dataset) -> NormStats:
 
 def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
     """Z-score features and targets; the result carries the stats fingerprint."""
-    if ds.samples:
-        stats.check_width(ds.samples[0].window.shape[1])
+    stats.check_width(ds.n_features)
     samples = tuple(
         replace(
             s,
@@ -211,8 +216,7 @@ def save_dataset(ds: Dataset, prefix) -> None:
     Windows are flattened row-major with header `sample_id,timestep,<feature names>`;
     targets carry `sample_id,e2_ts,e3_ts,target`. Values round-trip float64 exactly.
     """
-    n_feat = ds.samples[0].window.shape[1] if ds.samples else 0
-    names = list(ds.feature_names) if ds.feature_names else [f"f{j}" for j in range(n_feat)]
+    names = list(ds.feature_names) if ds.feature_names else [f"f{j}" for j in range(ds.n_features)]
     with open(f"{prefix}_windows.csv", "w", newline="") as fh:
         csv.writer(fh).writerow(["sample_id", "timestep", *names])
         for sid, s in enumerate(ds.samples):

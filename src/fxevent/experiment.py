@@ -146,71 +146,62 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "dropped_noncausal": diags.dropped_noncausal,
     }
 
-    per_n: dict[int, dict] = {}
+    datasets: dict[int, dict] = {}  # the manifest's sample counts, and the error of a degenerate split
+    splits: dict[int, dict] = {}  # the data of each split that trains
     for n in sorted(cfg.grid.timesteps):
         samples, skipped = ds_mod.build_samples(features, sequences, n, series)
         train_samples = tuple(s for s in samples if s.e2_ts < cutoff)
         test_samples = tuple(s for s in samples if s.e2_ts >= cutoff)
-        entry = {"skipped": skipped, "train": len(train_samples), "test": len(test_samples)}
+        datasets[n] = {"skipped": skipped, "train": len(train_samples), "test": len(test_samples)}
         if not train_samples or not test_samples:
-            entry["error"] = (
-                f"n={n}: degenerate split (train={len(train_samples)}, test={len(test_samples)})"
-            )
-            per_n[n] = entry
+            datasets[n]["error"] = f"n={n}: degenerate split (train={len(train_samples)}, test={len(test_samples)})"
             continue
         train_ds = ds_mod.Dataset(train_samples, n, "train", feature_names=features.columns)
         test_ds = ds_mod.Dataset(test_samples, n, "test", feature_names=features.columns)
         stats = ds_mod.fit_normalizer(train_ds)
-        entry.update(
-            train_ds=ds_mod.apply_norm(train_ds, stats),
-            test_ds=ds_mod.apply_norm(test_ds, stats),
-            stats=stats,
-            true=test_ds.targets(),
-        )
+        splits[n] = dict(train_ds=ds_mod.apply_norm(train_ds, stats), test_ds=ds_mod.apply_norm(test_ds, stats),
+                         stats=stats, true=test_ds.targets())
         persist = baseline_persistence(test_ds, series)
-        result.persistence[n] = MetricsReport.compute("persistence", n, entry["true"], persist)
-        per_n[n] = entry
+        result.persistence[n] = MetricsReport.compute("persistence", n, splits[n]["true"], persist)
 
-    runnable = []  # (cell, entry, task) for every cell that trains
+    runnable = []  # (cell, split, task) for every cell that trains
     for kind in cfg.grid.kinds:
         for n in cfg.grid.timesteps:
             seed = cell_seed(cfg.seed, kind, n)
             cell = CellResult(kind=kind, n_timesteps=n, seed=seed)
             result.cells.append(cell)
-            entry = per_n[n]
-            if "error" in entry:
-                cell.error = entry["error"]
+            if n not in splits:
+                cell.error = datasets[n]["error"]
                 continue
+            split = splits[n]
             mc = ModelConfig(kind, n, len(features.columns), cfg.arch.layers, cfg.arch.hidden, seed)
-            task = (entry["train_ds"], entry["test_ds"], entry["stats"], mc, cfg.training,
+            task = (split["train_ds"], split["test_ds"], split["stats"], mc, cfg.training,
                     cfg.arch.val_fraction, cfg.save_models)
-            runnable.append((cell, entry, task))
+            runnable.append((cell, split, task))
 
     outcomes = _run_cells([task for _, _, task in runnable])
-    for (cell, entry, _), (error, report, pred, model) in zip(runnable, outcomes):
+    for (cell, split, _), (error, report, pred, model) in zip(runnable, outcomes):
         cell.error = error
         if error is not None:
             continue
         try:
-            cell.metrics = MetricsReport.compute(cell.kind, cell.n_timesteps, entry["true"], pred)
+            cell.metrics = MetricsReport.compute(cell.kind, cell.n_timesteps, split["true"], pred)
             cell.best_epoch = report.best_epoch
             cell.epochs_run = report.epochs_run
             stem = f"{cell.kind}_{cell.n_timesteps}"
             emit_predictions(
-                entry["test_ds"].samples, entry["true"], pred, out_dir / f"predictions_{stem}.csv"
+                split["test_ds"].samples, split["true"], pred, out_dir / f"predictions_{stem}.csv"
             )
-            # wall time deliberately excluded: emitted files must be replay-identical
-            train_report = {k: v for k, v in asdict(report).items() if k != "wall_time_s"}
-            (out_dir / f"train_report_{stem}.json").write_text(json.dumps(train_report, indent=2) + "\n")
+            (out_dir / f"train_report_{stem}.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
             if cfg.save_models:
                 models_dir = out_dir / "models"
                 models_dir.mkdir(exist_ok=True)
                 save_model(model, models_dir / f"{stem}.model.txt")
-                ds_mod.save_stats(entry["stats"], models_dir / f"{stem}.model.stats.json")
+                ds_mod.save_stats(split["stats"], models_dir / f"{stem}.model.stats.json")
         except Exception as exc:  # isolate the failing grid cell
             cell.error = f"{type(exc).__name__}: {exc}"
 
-    _write_reports(cfg, result, per_n)
+    _write_reports(cfg, result, datasets)
     return result
 
 
@@ -327,7 +318,7 @@ def _environment() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name", "?")}
 
 
-def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict) -> None:
+def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, datasets: dict) -> None:
     out_dir = result.out_dir
 
     manifest = {
@@ -346,10 +337,7 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, per_n: dict)
         },
         "diagnostics": result.diagnostics,
         "environment": _environment(),
-        "datasets": {
-            str(n): {k: v for k, v in entry.items() if k in ("skipped", "train", "test", "error")}
-            for n, entry in per_n.items()
-        },
+        "datasets": {str(n): counts for n, counts in datasets.items()},
         "cells": [{k: v for k, v in asdict(c).items() if k != "metrics"} for c in result.cells],
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

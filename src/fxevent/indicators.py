@@ -127,18 +127,13 @@ def _wilder_series(xs: np.ndarray, n: int) -> np.ndarray:
 def ema(close: np.ndarray, n: int) -> np.ndarray:
     """Exponential moving average: out[t] = k*close[t] + (1-k)*out[t-1], k = 2/(n+1).
 
-    Seeded with the first finite value, so a clean series is defined from index 0.
+    Seeded with the first price, out[0] = close[0], so it is defined from index 0.
     """
     if n < 1:
         raise ConfigError(f"ema period must be >= 1, got {n}")
-    close = np.asarray(close, dtype=np.float64)
-    out = _nan_prefix(len(close))
-    finite = np.flatnonzero(np.isfinite(close))
-    if finite.size == 0:
-        return out
-    start = int(finite[0])
-    out[start] = close[start]
-    out[start + 1 :] = _smooth(close[start + 1 :], close[start], k=2.0 / (n + 1.0))
+    out = np.array(close, dtype=np.float64)
+    if len(out):
+        out[1:] = _smooth(out[1:], out[0], k=2.0 / (n + 1.0))
     return out
 
 

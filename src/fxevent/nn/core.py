@@ -177,4 +177,6 @@ def load_params(params: list[Param], fh) -> None:
                 data[r] = [float(v) for v in fields]
             except ValueError:
                 raise ConfigError(f"{name}: non-numeric value in row {r}") from None
+            if not np.isfinite(data[r]).all():
+                raise ConfigError(f"{name}: non-finite value in row {r}")
         p.value[...] = data.reshape(p.value.shape)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -101,7 +100,6 @@ class TrainReport:
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = 0
     epochs_run: int = 0
-    wall_time_s: float = 0.0
 
 
 def _uniform(rng, fan_in, shape):
@@ -494,8 +492,6 @@ def train(
     restores the parameters of the best validation epoch. Deterministic for a
     fixed (data, config.seed, hyper).
     """
-    if len(train_ds) == 0:
-        raise ConfigError("cannot train on an empty dataset")
     if not 0.0 <= val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
     X = train_ds.windows()
@@ -510,7 +506,6 @@ def train(
     step = 0
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     report = TrainReport()
-    started = time.perf_counter()
 
     best_monitor = np.inf
     best_values = [p.value.copy() for p in params]
@@ -561,7 +556,6 @@ def train(
     model._drop_caches()
     if train_ds.norm_fingerprint is not None:
         model.stats_fingerprint = train_ds.norm_fingerprint
-    report.wall_time_s = time.perf_counter() - started
     return model, report
 
 
@@ -579,8 +573,6 @@ def predict(model: RecurrentModel, ds: Dataset, stats: NormStats) -> np.ndarray:
         raise ConfigError(
             f"model trained with stats {model.stats_fingerprint}, got {stats.fingerprint}"
         )
-    if len(ds) == 0:
-        return np.zeros(0)
     pred = model.forward_batch(ds.windows())
     model._drop_caches()
     return invert_target(pred, stats)

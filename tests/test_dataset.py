@@ -121,7 +121,7 @@ class TestNormalizer:
         assert stats.target_std == 5.0
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="a dataset needs at least one sample"):
             fit_normalizer(Dataset((), 4, "train"))
 
     def test_round_trip(self, rng):

@@ -656,12 +656,12 @@ class TestCli:
         main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
               "--epochs", "1", "--out", str(model_path)])
         stats = json.loads((tmp_path / "m.model.stats.json").read_text())
-        stats["feature_std"][0] = 0.0
-        stats_path = tmp_path / "zero.stats.json"
+        stats["feature_std"][0] *= 2.0
+        stats_path = tmp_path / "other.stats.json"
         stats_path.write_text(json.dumps(stats))
         capsys.readouterr()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a division by the zero std would raise here
+            warnings.simplefilter("error")  # a numpy warning from normalizing would raise here
             assert main(["evaluate", "--model", str(model_path), "--stats", str(stats_path),
                          "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
@@ -688,7 +688,14 @@ class TestCli:
         assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["model"] == "lstm"
 
     @pytest.mark.parametrize(
-        "text", ['{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}', "{not json"]
+        "text",
+        [
+            '{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}',
+            "{not json",
+            '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": 1.1, "target_std": NaN}',
+            '{"feature_mean": [0.0, 0.0], "feature_std": [0.0, 0.0], "target_mean": 1.1, "target_std": 0.01}',
+            '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": 1.1, "target_std": -0.01}',
+        ],
     )
     def test_malformed_stats_names_file(self, tmp_path, text):
         path = tmp_path / "m.stats.json"
@@ -708,3 +715,18 @@ class TestCli:
         assert main(["experiment", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "FAILED rnn/2500" in err
+
+    def test_degenerate_split_manifest_holds_counts_and_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            "[data]\nn = 2600\n"
+            "[grid]\nkinds = rnn\ntimesteps = 20,2500\n"  # 2500 cannot window
+            "[model]\nhidden = 6\n"
+            "[training]\nmax_epochs = 1\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert main(["experiment", "--config", str(cfg_path)]) == 1
+        datasets = json.loads((tmp_path / "out" / "manifest.json").read_text())["datasets"]
+        assert sorted(datasets["2500"]) == ["error", "skipped", "test", "train"]
+        assert datasets["2500"]["error"].startswith("n=2500: degenerate split")
+        assert sorted(datasets["20"]) == ["skipped", "test", "train"]

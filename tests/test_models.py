@@ -429,7 +429,6 @@ class TestTrain:
         assert report.epochs_run <= 12
         assert 0 <= report.best_epoch < report.epochs_run
         assert all(np.isfinite(v) for v in report.train_losses + report.val_losses)
-        assert report.wall_time_s > 0
 
     def test_nonfinite_loss_aborts_with_diagnostics(self, rng):
         ds = make_dataset(rng, 10)
@@ -441,7 +440,7 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(kind="rnn", n_timesteps=4, input_dim=2, layers=1, hidden=2, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="a dataset needs at least one sample"):
             train(Dataset((), 4, "train"), 0.1, cfg)
 
 
@@ -586,6 +585,7 @@ class TestSaveLoad:
             (3, "params two"),  # non-integer parameter count
             (5, "0.5 0.25"),  # ragged row: W has 4 columns
             (5, "0.5 0.25 x 1"),  # non-numeric value
+            (5, "0.5 0.25 nan 1"),  # non-finite value
             (1, "config {not json"),
         ],
     )
