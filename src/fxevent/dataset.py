@@ -158,6 +158,8 @@ def load_stats(path) -> NormStats:
             float(payload["target_mean"]),
             float(payload["target_std"]),
         )
+    except ConfigError as exc:  # a rule of NormStats, on a file that parsed
+        raise ConfigError(f"{path}: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed stats file ({type(exc).__name__}: {exc})") from None
 

@@ -16,8 +16,11 @@ dense head reads the final hidden state of the top layer; for bidirectional
 stacks, the forward direction's last state then the backward direction's.
 
 Each per-sequence array a layer fills views the front of a flat buffer that
-the layer keeps and only grows, so any batch size reuses its pages: returned
-hidden states live until the layer's next forward, dx until its next backward.
+the layer keeps and grows when a larger batch comes, so any batch size reuses
+its pages: returned hidden states live until the layer's next forward, dx until
+its next backward. Inference (`predict` and the validation pass in `train`)
+runs INFERENCE_BATCH windows at a time, so the buffers grow to at most one
+training batch or INFERENCE_BATCH + 1 windows, whatever the dataset size.
 
 Gradients here are exact; tests hold them to central finite differences at
 1e-4 max relative error, and the fused cells to the per-gate reference cells
@@ -47,6 +50,7 @@ from .core import (
 )
 
 KINDS = ("rnn", "lstm", "bilstm", "gru")
+INFERENCE_BATCH = 32  # windows per inference forward pass; see _forward_chunked
 
 
 @dataclass(frozen=True)
@@ -480,6 +484,19 @@ def loss_closures(model: RecurrentModel, windows: np.ndarray, targets: np.ndarra
     return loss_fn, backward_fn
 
 
+def _forward_chunked(model: RecurrentModel, X: np.ndarray) -> np.ndarray:
+    """forward_batch over consecutive INFERENCE_BATCH-window chunks, concatenated.
+
+    Equal bitwise to one whole-batch pass: OpenBLAS can round a row by its
+    position modulo 4 within a matmul, which chunks of 32 keep, and a lone row
+    would take numpy's matrix-vector path, so a 1-window remainder joins the
+    chunk before it.
+    """
+    starts = list(range(0, max(len(X) - 1, 1), INFERENCE_BATCH))
+    ends = starts[1:] + [len(X)]
+    return np.concatenate([model.forward_batch(X[lo:hi]) for lo, hi in zip(starts, ends)])
+
+
 def train(
     train_ds: Dataset,
     val_fraction: float,
@@ -533,7 +550,7 @@ def train(
         report.train_losses.append(train_loss)
 
         if n_val:
-            val_loss = mse_loss(model.forward_batch(X_val), y_val)[0]
+            val_loss = mse_loss(_forward_chunked(model, X_val), y_val)[0]
             report.val_losses.append(val_loss)
             monitor = val_loss
         else:
@@ -573,7 +590,7 @@ def predict(model: RecurrentModel, ds: Dataset, stats: NormStats) -> np.ndarray:
         raise ConfigError(
             f"model trained with stats {model.stats_fingerprint}, got {stats.fingerprint}"
         )
-    pred = model.forward_batch(ds.windows())
+    pred = _forward_chunked(model, ds.windows())
     model._drop_caches()
     return invert_target(pred, stats)
 

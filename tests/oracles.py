@@ -239,17 +239,11 @@ def adam_reference(theta0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def loop_ema(close, n):
     close = np.asarray(close, dtype=np.float64)
-    out = np.full(len(close), np.nan)
-    if len(close) == 0:
-        return out
-    finite = np.nonzero(np.isfinite(close))[0]
-    if finite.size == 0:
-        return out
-    start = int(finite[0])
+    out = np.empty(len(close))
     k = 2.0 / (n + 1.0)
-    acc = close[start]
-    out[start] = acc
-    for t in range(start + 1, len(close)):
+    acc = close[0]
+    out[0] = acc
+    for t in range(1, len(close)):
         acc = close[t] * k + acc * (1.0 - k)
         out[t] = acc
     return out

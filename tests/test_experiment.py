@@ -687,21 +687,33 @@ class TestCli:
                      "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 0
         assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["model"] == "lstm"
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}',
-            "{not json",
-            '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": 1.1, "target_std": NaN}',
-            '{"feature_mean": [0.0, 0.0], "feature_std": [0.0, 0.0], "target_mean": 1.1, "target_std": 0.01}',
-            '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": 1.1, "target_std": -0.01}',
-        ],
-    )
+    # file text -> the message after "<path>: "; a file that parses but breaks a
+    # NormStats rule reports the rule alone, not as a parse failure
+    BAD_STATS = {
+        '{"feature_mean": [0.0], "target_mean": 1.1, "target_std": 0.01}':
+            "malformed stats file (KeyError: 'feature_std')",
+        "{not json":
+            "malformed stats file (JSONDecodeError: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1))",
+        '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": "x", "target_std": 0.01}':
+            "malformed stats file (ValueError: could not convert string to float: 'x')",
+        '{"feature_mean": [0.0], "feature_std": 1.0, "target_mean": 1.1, "target_std": 0.01}':
+            "malformed stats file (TypeError: iteration over a 0-d array)",
+        '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": 1.1, "target_std": NaN}':
+            "stats hold a non-finite value",
+        '{"feature_mean": [0.0, 0.0], "feature_std": [0.0, 0.0], "target_mean": 1.1, "target_std": 0.01}':
+            "stats hold a standard deviation that is not positive",
+        '{"feature_mean": [0.0], "feature_std": [1.0], "target_mean": 1.1, "target_std": -0.01}':
+            "stats hold a standard deviation that is not positive",
+    }
+
+    @pytest.mark.parametrize("text", list(BAD_STATS))
     def test_malformed_stats_names_file(self, tmp_path, text):
         path = tmp_path / "m.stats.json"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(str(path))):
+        with pytest.raises(ConfigError) as info:
             load_stats(path)
+        assert str(info.value) == f"{path}: {self.BAD_STATS[text]}"
 
     def test_failed_cell_gives_nonzero_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

@@ -513,6 +513,49 @@ class TestPredict:
             predict(model, raw, stats)  # raw dataset was never normalized
 
 
+class TestChunkedInference:
+    """predict and the validation pass run INFERENCE_BATCH windows at a time, bitwise as one batch."""
+
+    def _normed(self, rng, n_samples):
+        ds = make_dataset(rng, n_samples, feat=28, target_fn=lambda w: 1.1 + 0.01 * w[-1, 0])
+        stats = fit_normalizer(ds)
+        return apply_norm(ds, stats), stats
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_equals_one_whole_batch(self, rng, kind):
+        raw = make_dataset(rng, 97, feat=28)
+        stats = fit_normalizer(raw)
+        model = RecurrentModel(ModelConfig(kind=kind, n_timesteps=6, seed=2))  # 28 inputs, 2 x 64 hidden
+        for n in (1, 2, 31, 32, 33, 65, 97):
+            part = apply_norm(Dataset(raw.samples[:n], 6, "test"), stats)
+            whole = invert_target(model.forward_batch(part.windows()), stats)
+            assert predict(model, part, stats).tobytes() == whole.tobytes(), n
+
+    def test_no_forward_pass_exceeds_one_chunk(self, rng, monkeypatch):
+        sizes = []
+        forward = RecurrentModel.forward_batch
+        monkeypatch.setattr(RecurrentModel, "forward_batch", lambda self, X: sizes.append(len(X)) or forward(self, X))
+        normed, stats = self._normed(rng, 100)
+        cfg = ModelConfig(kind="lstm", n_timesteps=6, input_dim=28, layers=1, hidden=4, seed=0)
+        model, report = train(normed, 0.33, cfg, TrainHyper(max_epochs=2))  # 33 validation windows
+        assert len(report.val_losses) == 2 and max(sizes) == 33
+        sizes.clear()
+        predict(model, normed, stats)
+        assert sizes == [32, 32, 32, 4]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_and_predict_equal_an_unchunked_run(self, rng, kind, monkeypatch):
+        normed, stats = self._normed(rng, 97)  # predict runs 32 + 32 + 33 windows
+        cfg = ModelConfig(kind=kind, n_timesteps=6, seed=5)  # 28 inputs, 2 x 64 hidden
+        hyper = TrainHyper(max_epochs=3)
+        runs = []
+        for chunk in (models.INFERENCE_BATCH, 10**9):
+            monkeypatch.setattr(models, "INFERENCE_BATCH", chunk)
+            model, report = train(normed, 0.34, cfg, hyper)  # 33 validation windows
+            runs.append((report, predict(model, normed, stats).tobytes()))
+        assert runs[0] == runs[1]
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_predictions(self, rng, tmp_path):
         ds = make_dataset(rng, 15)
