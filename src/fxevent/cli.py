@@ -109,7 +109,7 @@ def cmd_train(args):
     model, report = train(normed, args.val_fraction, config, hyper)
     wall_time_s = time.perf_counter() - started
     save_model(model, args.out)
-    ds_mod.save_stats(stats, Path(args.out).with_suffix(".stats.json"))
+    ds_mod.save_stats(stats, ds_mod.stats_path(args.out))
     print(
         f"trained {args.kind}/{ds.n_timesteps} for {report.epochs_run} epochs "
         f"(best {report.best_epoch}, {wall_time_s:.1f}s) -> {args.out}"
@@ -119,7 +119,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model = load_model(args.model)
-    stats_path = args.stats or Path(args.model).with_suffix(".stats.json")
+    stats_path = args.stats or ds_mod.stats_path(args.model)
     stats = ds_mod.load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
     try:  # both checks run before apply_norm divides by the stats

@@ -1,8 +1,8 @@
 """Experiment configuration: a single INI-style file of key-value sections.
 
-Every knob has a documented default; `write_example` emits a config.example
-listing all of them. Values echo back into the run manifest so a run is fully
-reproducible from its output directory.
+Every knob has a documented default; `write_example` prints all of them from the
+key table that `load_config` reads. Values echo back into the run manifest so a
+run is fully reproducible from its output directory.
 """
 
 from __future__ import annotations
@@ -124,32 +124,33 @@ class ExperimentConfig:
         return self
 
 
-def _keys(*names, **renamed):
-    """INI key -> field name: each name maps to itself, each keyword to its value."""
-    return {**{n: n for n in names}, **renamed}
+def _keys(*specs):
+    """INI key -> field name, in the order given: "key" names its own field, "key=field" another."""
+    return {key: name or key for key, _, name in (spec.partition("=") for spec in specs)}
 
 
 # INI section -> (the ExperimentConfig attribute it sets, None for the config
-# itself; {INI key: field}). These are the only settable keys.
+# itself; {INI key: field}). These are the only settable keys, in the order the
+# example config prints them.
 _SECTIONS = {
-    "data": ("data", _keys("source", "symbol", "pip_size", csv="csv_path", seed="synth_seed", n="synth_n")),
+    "data": ("data", _keys("source", "csv=csv_path", "symbol", "pip_size", "seed=synth_seed", "n=synth_n")),
     "regime": ("regime", _keys(
         "start_price", "leg_len", "slope_pips", "notch_frac", "notch_retrace", "notch_down_bars",
         "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
     )),
-    "split": ("split", _keys("cutoff", "cutoff_fraction")),
+    "split": ("split", _keys("cutoff_fraction", "cutoff")),
     "indicators": ("indicators", _keys(
         "macd_fast", "macd_slow", "macd_signal", "boll_window", "boll_k",
         "sma_periods", "rsi_periods", "adx_periods", "wr_periods",
     )),
     "zigzag": ("zigzag", _keys("depth", "deviation_pips", "backstep")),
-    "crossover": ("events", _keys(fast="cross_fast", slow="cross_slow")),
+    "crossover": ("events", _keys("fast=cross_fast", "slow=cross_slow")),
     "events": ("events", _keys("causal_filter")),
     "retracement": ("retrace", _keys("local_radius", "lookahead")),
     "grid": ("grid", _keys("kinds", "timesteps")),
     "model": ("arch", _keys("layers", "hidden", "val_fraction")),
     "training": ("training", _keys("lr", "batch_size", "max_epochs", "patience", "clip_norm")),
-    "output": (None, _keys("save_models", dir="out_dir")),
+    "output": (None, _keys("dir=out_dir", "save_models")),
     "run": (None, _keys("seed")),
 }
 
@@ -214,85 +215,48 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-EXAMPLE = """\
-# fxevent experiment configuration (all values shown are the defaults)
+# "section.key" -> the note printed after the key in the example config. A key
+# that is unset by default maps to (example value, note) and is printed commented out.
+_NOTES = {
+    "data.source": "synthetic | csv",
+    "data.csv": ("path/to/series.csv", ""),
+    "data.pip_size": "price of one pip, the unit of every *_pips key",
+    "data.seed": "synthetic generator seed",
+    "data.n": "synthetic bar count",
+    "regime.leg_len": "bars per trend leg (inclusive range)",
+    "regime.slope_pips": "per-bar drift magnitude",
+    "regime.notch_frac": "where in the leg the retracement dip starts",
+    "regime.notch_retrace": "fraction of the leg's gain given back",
+    "regime.notch_down_bars": "0 disables the dip",
+    "regime.trend": "alternate | up | down",
+    "regime.reversion_pips": "price-level pull toward start_price; 0 disables",
+    "split.cutoff_fraction": "share of the series span before the cutoff",
+    "split.cutoff": ("2019-01-01T00:00:00Z", "instead of cutoff_fraction (epoch seconds also accepted)"),
+    "crossover.fast": "EMA periods forming the confirmation crossover",
+    "events.causal_filter": "drop sequences whose crossover precedes pivot confirmation",
+}
 
-[data]
-source = synthetic        ; synthetic | csv
-# csv = path/to/series.csv
-symbol = SYN
-pip_size = 1e-4           ; price of one pip, the unit of every *_pips key
-seed = 7                  ; synthetic generator seed
-n = 5000                  ; synthetic bar count
 
-[regime]
-start_price = 1.10
-leg_len = 36,62           ; bars per trend leg (inclusive range)
-slope_pips = 1.2,2.5      ; per-bar drift magnitude
-notch_frac = 0.38,0.52    ; where in the leg the retracement dip starts
-notch_retrace = 0.84,0.92 ; fraction of the leg's gain given back
-notch_down_bars = 3       ; 0 disables the dip
-notch_recover_bars = 3
-noise_pips = 0.25
-wick_pips = 0.6
-trend = alternate         ; alternate | up | down
-reversion_pips = 250      ; price-level pull toward start_price; 0 disables
-
-[split]
-cutoff_fraction = 0.8     ; share of the series span before the cutoff
-# cutoff = 2019-01-01T00:00:00Z ; instead of cutoff_fraction (epoch seconds also accepted)
-
-[indicators]
-macd_fast = 12
-macd_slow = 26
-macd_signal = 9
-boll_window = 20
-boll_k = 2.0
-sma_periods = 5,10,15,20,25,30,36
-rsi_periods = 5,14,20,25
-adx_periods = 5,10,15,20,25,30,35
-wr_periods = 5,14,20,25
-
-[zigzag]
-depth = 12
-deviation_pips = 5
-backstep = 3
-
-[crossover]
-fast = 5                  ; EMA periods forming the confirmation crossover
-slow = 20
-
-[events]
-causal_filter = false     ; drop sequences whose crossover precedes pivot confirmation
-
-[retracement]
-local_radius = 3
-lookahead = 60
-
-[grid]
-kinds = rnn,lstm,bilstm,gru
-timesteps = 30,60
-
-[model]
-layers = 2
-hidden = 64
-val_fraction = 0.1
-
-[training]
-lr = 1e-3
-batch_size = 32
-max_epochs = 100
-patience = 10
-clip_norm = 5.0
-
-[output]
-dir = out
-save_models = false
-
-[run]
-seed = 42
-"""
+def example_config() -> str:
+    """The example config: every settable key at its default, in `_SECTIONS` order."""
+    cfg = ExperimentConfig()
+    lines = ["# fxevent experiment configuration (all values shown are the defaults)"]
+    for section, (attr, keys) in _SECTIONS.items():
+        lines += ["", f"[{section}]"]
+        target = getattr(cfg, attr) if attr else cfg
+        for key, name in keys.items():
+            note = _NOTES.get(f"{section}.{key}", "")
+            if isinstance(note, tuple):
+                example, note = note
+                line = f"# {key} = {example}"
+            else:  # tuples comma-joined, bools in lower case
+                value = getattr(target, name)
+                if isinstance(value, tuple):
+                    value = ",".join(map(str, value))
+                line = f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
+            lines.append(f"{line:<25} ; {note}" if note else line)
+    return "\n".join(lines) + "\n"
 
 
 def write_example(path) -> None:
-    Path(path).write_text(EXAMPLE)
+    Path(path).write_text(example_config())

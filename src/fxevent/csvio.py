@@ -1,4 +1,4 @@
-"""CSV row blocks shared by the candle, feature and dataset writers.
+"""CSV row blocks shared by the candle, feature, dataset and predictions writers.
 
 Rows come out byte for byte as the default `csv.writer` dialect writes them:
 fields joined by commas, each line ending in CRLF, floats as their shortest

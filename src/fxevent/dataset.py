@@ -149,6 +149,11 @@ def save_stats(stats: NormStats, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
+def stats_path(model_path) -> Path:
+    """The stats sidecar saved beside a model file: `m.model.txt` -> `m.model.stats.json`."""
+    return Path(model_path).with_suffix(".stats.json")
+
+
 def load_stats(path) -> NormStats:
     try:
         payload = json.loads(Path(path).read_text())
@@ -203,10 +208,6 @@ def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
     return Dataset(samples, ds.n_timesteps, ds.role, stats.fingerprint, ds.feature_names)
 
 
-def apply_target(y: float, stats: NormStats) -> float:
-    return (y - stats.target_mean) / stats.target_std
-
-
 def invert_target(y_norm, stats: NormStats):
     """Undo the target z-score; accepts scalars or arrays."""
     return y_norm * stats.target_std + stats.target_mean
@@ -230,16 +231,14 @@ def save_dataset(ds: Dataset, prefix) -> None:
 
 
 def load_dataset(prefix, role: str = "train") -> Dataset:
-    """Read the CSV pair written by save_dataset.
+    """Read the CSV pair written by save_dataset, in the layout it writes.
 
-    Rows may come in any order; each sample's rows are ordered by timestep.
-    Sample ids and timesteps must be integers, every sample must hold the
-    timesteps 0..T-1 once each and exactly one row in the targets file, every
-    targets row must name a sample with windows, every row needs the same
-    number of fields, and every value must be finite; a file that breaks this
-    raises ConfigError naming it, and the line for a bad targets row.
-    Source-series bar indices are not part of the wire format, so reloaded
-    samples carry e2_index = -1.
+    Windows rows hold samples 0..N-1 in order, each sample's timesteps 0..T-1 in
+    order, where T is the row count of sample 0; the targets file holds one row
+    per sample in the same order. Every row needs the same number of fields and
+    every value must be finite. Otherwise a ConfigError names the file, the first
+    line out of place and what that line should hold. Source-series bar indices
+    are not part of the wire format, so reloaded samples carry e2_index = -1.
     """
     windows_path = f"{prefix}_windows.csv"
     with open(windows_path) as fh:
@@ -250,7 +249,7 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise ConfigError(f"{windows_path}: {exc}") from exc
-    if rows.size == 0:
+    if rows.shape[1] < 2:  # an empty body parses to shape (0, 1)
         raise ConfigError(f"{windows_path} holds no samples")
     nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if nonfinite.size:
@@ -258,31 +257,17 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
         raise ConfigError(
             f"{windows_path}: non-finite value in sample {rows[i, 0]:.17g} at timestep {rows[i, 1]:.17g}"
         )
-    with np.errstate(invalid="ignore"):  # a value past int64 casts to garbage, rejected below
-        sid, step = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
-    fractional = np.flatnonzero((sid != rows[:, 0]) | (step != rows[:, 1]))
-    if fractional.size:
-        pair = rows[fractional[0], :2].tolist()
-        raise ConfigError(f"{windows_path}: sample_id or timestep not a 64-bit integer in row {pair}")
-    order = np.lexsort((step, sid))
-    ids, counts = np.unique(sid, return_counts=True)
-    if np.any(counts != counts[0]):
-        bad = int(np.flatnonzero(counts != counts[0])[0])
-        raise ConfigError(
-            f"{windows_path}: ragged windows, sample {ids[0]} has {counts[0]} rows "
-            f"and sample {ids[bad]} has {counts[bad]}"
-        )
-    n_steps = int(counts[0])
-    misnumbered = np.flatnonzero((step[order].reshape(len(ids), n_steps) != np.arange(n_steps)).any(axis=1))
-    if misnumbered.size:
-        raise ConfigError(
-            f"{windows_path}: sample {ids[misnumbered[0]]} does not hold timesteps 0..{n_steps - 1} once each"
-        )
-    windows = rows[order, 2:].reshape(len(ids), n_steps, rows.shape[1] - 2)
+    n_steps = int(np.argmax(rows[:, 0] != 0)) or len(rows)  # T, the leading rows of sample 0
+    sample, step = np.divmod(np.arange(len(rows) + 1), n_steps)  # each row's place, and one past the end
+    misplaced = np.flatnonzero((rows[:, 0] != sample[:-1]) | (rows[:, 1] != step[:-1]))
+    if misplaced.size or step[-1]:  # a row out of place, or a last sample cut short
+        i = misplaced[0] if misplaced.size else len(rows)
+        found = f"holds sample {rows[i, 0]:.15g} timestep {rows[i, 1]:.15g}" if i < len(rows) else "is missing"
+        raise ConfigError(f"{windows_path}: line {i + 2} {found}, expected sample {sample[i]} timestep {step[i]}")
+    windows = rows[:, 2:].reshape(len(rows) // n_steps, n_steps, rows.shape[1] - 2)
 
     targets_path = f"{prefix}_targets.csv"
-    meta = {}
-    known = set(ids.tolist())
+    meta = []
     with open(targets_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -290,20 +275,15 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
             try:
                 key, e2_ts, e3_ts, target = row
                 key, e2_ts, e3_ts, target = int(key), int(e2_ts), int(e3_ts), float(target)
+                if key != len(meta) or key == len(windows):
+                    expected = f"sample {len(meta)}" if len(meta) < len(windows) else "the end of the file"
+                    raise ValueError(f"holds sample {key}, expected {expected}")
             except ValueError as exc:
                 raise ConfigError(f"{targets_path}: malformed row at line {reader.line_num} ({exc})") from None
             if not math.isfinite(target):
                 raise ConfigError(f"{targets_path}: non-finite target at line {reader.line_num}")
-            if key in meta or key not in known:
-                problem = "second row" if key in meta else "no windows"
-                raise ConfigError(
-                    f"{targets_path}: malformed row at line {reader.line_num} ({problem} for sample {key})"
-                )
-            meta[key] = (e2_ts, e3_ts, target)
-    samples = []
-    for i, window in zip(ids.tolist(), windows):
-        if i not in meta:
-            raise ConfigError(f"{targets_path}: no row for sample {i}")
-        e2_ts, e3_ts, target = meta[i]
-        samples.append(Sample(window, target, -1, e2_ts, e3_ts))
-    return Dataset(tuple(samples), windows.shape[1], role, feature_names=feature_names)
+            meta.append((e2_ts, e3_ts, target))
+    if len(meta) < len(windows):
+        raise ConfigError(f"{targets_path}: no row for sample {len(meta)}")
+    samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (e2_ts, e3_ts, target) in zip(windows, meta))
+    return Dataset(samples, n_steps, role, feature_names=feature_names)

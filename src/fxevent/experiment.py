@@ -196,8 +196,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if cfg.save_models:
                 models_dir = out_dir / "models"
                 models_dir.mkdir(exist_ok=True)
-                save_model(model, models_dir / f"{stem}.model.txt")
-                ds_mod.save_stats(split["stats"], models_dir / f"{stem}.model.stats.json")
+                model_path = models_dir / f"{stem}.model.txt"
+                save_model(model, model_path)
+                ds_mod.save_stats(split["stats"], ds_mod.stats_path(model_path))
         except Exception as exc:  # isolate the failing grid cell
             cell.error = f"{type(exc).__name__}: {exc}"
 

@@ -15,7 +15,6 @@ from fxevent.dataset import (
     Dataset,
     Sample,
     apply_norm,
-    apply_target,
     build_samples,
     fit_normalizer,
     invert_target,
@@ -128,7 +127,7 @@ class TestNormalizer:
         ds = tiny_dataset(rng)
         stats = fit_normalizer(ds)
         for y in (1.2345, 0.9, 1.0001):
-            assert invert_target(apply_target(y, stats), stats) == pytest.approx(y, rel=1e-12)
+            assert invert_target((y - stats.target_mean) / stats.target_std, stats) == pytest.approx(y, rel=1e-12)
 
     def test_identity_parameters(self, rng):
         from fxevent.dataset import NormStats
@@ -273,16 +272,44 @@ class TestSerialization:
         path = tmp_path / "m_targets.csv"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2] + lines[3:]))  # drop sample 1
-        with pytest.raises(ConfigError, match="m_targets.csv.*sample 1"):
+        with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: malformed row at line 3 (holds sample 2, expected sample 1)"
+        )):
+            load_dataset(tmp_path / "m")
+        path.write_text("".join(lines[:3]))  # drop sample 2, the last
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: no row for sample 2")):
             load_dataset(tmp_path / "m")
 
-    def test_rows_in_any_order(self, rng, tmp_path):
-        ds = tiny_dataset(rng, n_samples=5)
-        save_dataset(ds, tmp_path / "s")
+    def test_shuffled_rows_rejected(self, rng, tmp_path):
+        # save_dataset writes samples and timesteps in order; no other order is read
+        save_dataset(tiny_dataset(rng, n_samples=5), tmp_path / "s")
         path = tmp_path / "s_windows.csv"
         header, *body = path.read_text().splitlines(keepends=True)
-        path.write_text(header + "".join(body[i] for i in rng.permutation(len(body))))
-        assert load_dataset(tmp_path / "s").windows().tobytes() == ds.windows().tobytes()
+        body[5], body[9] = body[9], body[5]  # sample 1 timestep 1 and sample 2 timestep 1
+        path.write_text(header + "".join(body))
+        with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: line 7 holds sample 2 timestep 1, expected sample 1 timestep 1"
+        )):
+            load_dataset(tmp_path / "s")
+
+    def test_sample_ids_from_one_rejected(self, rng, tmp_path):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "o")
+        for name in ("windows", "targets"):
+            path = tmp_path / f"o_{name}.csv"
+            path.write_text(re.sub(r"(?m)^(\d+),", lambda m: f"{int(m[1]) + 1},", path.read_text()))
+        with pytest.raises(ConfigError, match=re.escape(
+            f"{tmp_path / 'o_windows.csv'}: line 2 holds sample 1 timestep 0, expected sample 0 timestep 0"
+        )):
+            load_dataset(tmp_path / "o")
+
+    def test_extra_target_row_names_file_and_line(self, rng, tmp_path):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "e")
+        path = tmp_path / "e_targets.csv"
+        path.write_text(path.read_text() + "3,1003,2003,1.1\r\n")
+        with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: malformed row at line 5 (holds sample 3, expected the end of the file)"
+        )):
+            load_dataset(tmp_path / "e")
 
     @pytest.mark.parametrize("name, line, value", [("windows", 3, "nan"), ("targets", 2, "inf")])
     def test_non_finite_value_names_file(self, rng, tmp_path, name, line, value):
@@ -300,8 +327,8 @@ class TestSerialization:
             ("1,1001,2001", "not enough values"),
             ("1,1001,2001,abc", "'abc'"),
             ("x1,1001,2001,1.1", "'x1'"),
-            ("0,1001,2001,1.1", "second row for sample 0"),
-            ("3,1001,2001,1.1", "no windows for sample 3"),
+            ("0,1001,2001,1.1", "holds sample 0, expected sample 1"),  # a second row for sample 0
+            ("3,1001,2001,1.1", "holds sample 3, expected sample 1"),  # a sample without windows
         ],
     )
     def test_malformed_target_row_names_file_and_line(self, rng, tmp_path, capsys, row, reason):
@@ -316,30 +343,48 @@ class TestSerialization:
         assert main(["train", "--dataset", str(tmp_path / "t"), "--out", str(tmp_path / "m.txt")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("cut", ["row", "field"])
+    @pytest.mark.parametrize("cut", ["row", "field", "last"])
     def test_ragged_windows_name_file(self, rng, tmp_path, cut):
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "r")
         path = tmp_path / "r_windows.csv"
         lines = path.read_text().splitlines(keepends=True)
         if cut == "row":
             del lines[5]  # sample 1 loses one of its four timesteps
-        else:
+            message = re.escape(f"{path}: line 6 holds sample 1 timestep 1, expected sample 1 timestep 0")
+        elif cut == "field":
             lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
+            message = re.escape(f"{path}: ")  # numpy words the field-count error
+        else:
+            del lines[-1]  # the last sample loses its last timestep
+            message = re.escape(f"{path}: line 13 is missing, expected sample 2 timestep 3")
         path.write_text("".join(lines))
-        with pytest.raises(ConfigError, match="r_windows.csv"):
+        with pytest.raises(ConfigError, match=message):
             load_dataset(tmp_path / "r")
 
+    def test_windows_without_timestep_column_rejected(self, rng, tmp_path, capsys):
+        save_dataset(tiny_dataset(rng, n_samples=1), tmp_path / "k")
+        path = tmp_path / "k_windows.csv"
+        path.write_text("sample_id\r\n0\r\n0\r\n")
+        assert main(["train", "--dataset", str(tmp_path / "k"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {path} holds no samples\n"
+
     @pytest.mark.parametrize(
-        "line, column, value, message",
+        "line, column, value, fault, error",
         [
-            (2, 0, "0.7", "sample_id or timestep not a 64-bit integer in row [0.7, 0.0]"),
-            (3, 1, "1.5", "sample_id or timestep not a 64-bit integer in row [0.0, 1.5]"),
-            (2, 0, "1e300", "sample_id or timestep not a 64-bit integer in row [1e+300, 0.0]"),
-            (3, 1, "0", "sample 0 does not hold timesteps 0..3 once each"),  # repeated
-            (6, 1, "-1", "sample 1 does not hold timesteps 0..3 once each"),  # negative
+            (2, 0, "0.7", "sample_id or timestep not a 64-bit integer in row [0.7, 0.0]",
+             "holds sample 0.7 timestep 0, expected sample 0 timestep 0"),
+            (3, 1, "1.5", "sample_id or timestep not a 64-bit integer in row [0.0, 1.5]",
+             "holds sample 0 timestep 1.5, expected sample 0 timestep 1"),
+            (2, 0, "1e300", "sample_id or timestep not a 64-bit integer in row [1e+300, 0.0]",
+             "holds sample 1e+300 timestep 0, expected sample 0 timestep 0"),
+            (3, 1, "0", "sample 0 does not hold timesteps 0..3 once each",  # repeated
+             "holds sample 0 timestep 0, expected sample 0 timestep 1"),
+            (6, 1, "-1", "sample 1 does not hold timesteps 0..3 once each",  # negative
+             "holds sample 1 timestep -1, expected sample 1 timestep 0"),
         ],
     )
-    def test_misnumbered_windows_name_file(self, rng, tmp_path, line, column, value, message):
+    def test_misnumbered_windows_name_file(self, rng, tmp_path, line, column, value, fault, error):
+        # `fault` says what the edit breaks; `error` is what the message says of the edited line
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "w")
         path = tmp_path / "w_windows.csv"
         lines = path.read_text().splitlines(keepends=True)
@@ -347,7 +392,7 @@ class TestSerialization:
         cells[column] = value
         lines[line - 1] = ",".join(cells)
         path.write_text("".join(lines))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: line {line} {error}")):
             load_dataset(tmp_path / "w")
 
 

@@ -15,13 +15,13 @@ from fxevent import config as config_mod
 from fxevent import experiment
 from fxevent.cli import main
 from fxevent.config import (
-    EXAMPLE,
     DataConfig,
     EventConfig,
     ExperimentConfig,
     GridConfig,
     ModelArch,
     SplitConfig,
+    example_config,
     load_config,
     write_example,
 )
@@ -409,10 +409,24 @@ class TestConfigFile:
     def test_example_lists_every_key(self):
         # the example's commented-out alternatives count as listed
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        parser.read_string(re.sub(r"(?m)^# (\w+ =)", r"\1", EXAMPLE))
+        parser.read_string(re.sub(r"(?m)^# (\w+ =)", r"\1", example_config()))
         listed = {(s, k) for s in parser.sections() for k in parser[s]}
         accepted = {(s, k) for s, (_, keys) in config_mod._SECTIONS.items() for k in keys}
         assert listed == accepted
+
+    def test_example_notes_name_keys(self):
+        # a note cannot outlive its key
+        accepted = {f"{s}.{k}" for s, (_, keys) in config_mod._SECTIONS.items() for k in keys}
+        assert set(config_mod._NOTES) <= accepted
+        notes = [note[1] if isinstance(note, tuple) else note for note in config_mod._NOTES.values()]
+        printed = [line.split(" ; ", 1)[1] for line in example_config().splitlines() if " ; " in line]
+        assert sorted(printed) == sorted(note for note in notes if note)
+
+    def test_example_comments_out_unset_keys(self):
+        lines = example_config().splitlines()
+        assert "# csv = path/to/series.csv" in lines
+        assert any(line.startswith("# cutoff = 2019-01-01T00:00:00Z ;") for line in lines)
+        assert not any(re.match(r"(csv|cutoff) =", line) for line in lines)
 
     def test_every_field_has_exactly_one_key(self):
         # a field no key reaches is a setting only code can change; it belongs in a constant
