@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -79,7 +80,8 @@ def build_samples(
     """One window per sequence covering feature rows [e2-n+1 .. e2]; returns (samples, skipped).
 
     Skips (and tallies) sequences whose window would start before the feature
-    warm-up ends. Windows are verbatim slices of the feature matrix.
+    warm-up ends. Windows are read-only views of the feature matrix, so a
+    sample keeps the whole matrix alive.
     """
     if n < 1:
         raise ConfigError(f"n_timesteps must be >= 1, got {n}")
@@ -91,10 +93,9 @@ def build_samples(
         if start < features.warmup_len or start < 0:
             skipped += 1
             continue
-        window = features.values[start : e2 + 1].copy()
         samples.append(
             Sample(
-                window=window,
+                window=features.values[start : e2 + 1],
                 target=float(series.closes[seq.retrace_index]),
                 e2_index=e2,
                 e2_ts=int(series.timestamps[e2]),
@@ -175,9 +176,12 @@ def fit_normalizer(train: Dataset) -> NormStats:
     Standard deviations below 1e-12 are replaced by 1.0 (with a warning) so constant
     columns pass through centered instead of exploding.
     """
-    rows = train.windows().reshape(-1, train.n_features)
+    rows = train.windows().reshape(-1, train.n_features)  # a private copy, reused for the std
     mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    # np.std's own steps, in place: bitwise equal to rows.std(axis=0) without its same-size temporary
+    rows -= mean
+    np.square(rows, out=rows)
+    std = np.sqrt(rows.sum(axis=0) / len(rows))
     degenerate = std < 1e-12
     if degenerate.any():
         warnings.warn(
@@ -237,7 +241,8 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     order, where T is the row count of sample 0; the targets file holds one row
     per sample in the same order. Every row needs the same number of fields and
     every value must be finite. Otherwise a ConfigError names the file, the first
-    line out of place and what that line should hold. Source-series bar indices
+    line out of place and what that line should hold. Empty lines are skipped;
+    a `#` line is a malformed row like any other. Source-series bar indices
     are not part of the wire format, so reloaded samples carry e2_index = -1.
     """
     windows_path = f"{prefix}_windows.csv"
@@ -246,9 +251,9 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
             try:
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
-                raise ConfigError(f"{windows_path}: {exc}") from exc
+                raise ConfigError(f"{windows_path}: {_at_line(windows_path, exc)}") from exc
     if rows.shape[1] < 2:  # an empty body parses to shape (0, 1)
         raise ConfigError(f"{windows_path} holds no samples")
     nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -263,7 +268,8 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     if misplaced.size or step[-1]:  # a row out of place, or a last sample cut short
         i = misplaced[0] if misplaced.size else len(rows)
         found = f"holds sample {rows[i, 0]:.15g} timestep {rows[i, 1]:.15g}" if i < len(rows) else "is missing"
-        raise ConfigError(f"{windows_path}: line {i + 2} {found}, expected sample {sample[i]} timestep {step[i]}")
+        line = _line_of_row(windows_path, i)
+        raise ConfigError(f"{windows_path}: line {line} {found}, expected sample {sample[i]} timestep {step[i]}")
     windows = rows[:, 2:].reshape(len(rows) // n_steps, n_steps, rows.shape[1] - 2)
 
     targets_path = f"{prefix}_targets.csv"
@@ -287,3 +293,35 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
         raise ConfigError(f"{targets_path}: no row for sample {len(meta)}")
     samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (e2_ts, e3_ts, target) in zip(windows, meta))
     return Dataset(samples, n_steps, role, feature_names=feature_names)
+
+
+# np.loadtxt names a data row, counted from 0 in a conversion error and from 1
+# in a column-count error (whose advice to use `usecols` is dropped here)
+_NUMPY_ROW = re.compile(r" at row (\d+)(; use .*)?")
+
+
+def _at_line(path, exc: ValueError) -> str:
+    """np.loadtxt's message for a windows file, with its data row turned into the file line."""
+    text = str(exc)
+    found = _NUMPY_ROW.search(text)
+    if found is None:
+        return text
+    row = int(found[1]) - ("number of columns changed" in text)
+    return f"line {_line_of_row(path, row)}: {text[: found.start()]}{text[found.end() :]}"
+
+
+def _line_of_row(path, row: int) -> int:
+    """The line of a windows file that holds data row `row` (from 0), or the line after the last row.
+
+    Counts the header and the empty lines that np.loadtxt skips; read only to word an error.
+    """
+    last = 1
+    with open(path) as fh:
+        fh.readline()
+        for number, text in enumerate(fh, start=2):
+            if text != "\n":
+                if row == 0:
+                    return number
+                row -= 1
+                last = number
+    return last + 1

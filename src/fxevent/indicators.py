@@ -25,6 +25,8 @@ from .csvio import write_table
 from .errors import ConfigError, DataError
 from .market_data import CandleSeries
 
+_STD_BLOCK_ROWS = 4096  # windows per block in `bollinger`'s standard deviation
+
 
 @dataclass(frozen=True)
 class IndicatorParams:
@@ -206,7 +208,11 @@ def bollinger(close: np.ndarray, params: IndicatorParams = IndicatorParams()) ->
     middle = sma(close, w)
     dev = _nan_prefix(len(close))
     if w <= len(close):
-        dev[w - 1 :] = sliding_window_view(close, w).std(axis=1)
+        # in row blocks: std of the whole view would allocate an (n, w) temporary;
+        # each row's std is computed alone, so the blocks change no bit
+        windows, out = sliding_window_view(close, w), dev[w - 1 :]
+        for lo in range(0, len(windows), _STD_BLOCK_ROWS):
+            out[lo : lo + _STD_BLOCK_ROWS] = windows[lo : lo + _STD_BLOCK_ROWS].std(axis=1)
     return middle - k * dev, middle, middle + k * dev
 
 
@@ -236,23 +242,13 @@ def feature_matrix(series: CandleSeries, params: IndicatorParams = IndicatorPara
     warmup_len is the first row at which every column is defined; with default
     params that is 2*35 - 1 = 69 (the slowest ADX).
     """
-    closes, highs, lows = series.closes, series.highs, series.lows
-    cols: list[np.ndarray] = []
-    line, signal, hist = macd(closes, params)
-    cols += [line, signal, hist]
-    cols += [sma(closes, p) for p in params.sma_periods]
-    cols += [rsi(closes, p) for p in params.rsi_periods]
-    cols += [adx(highs, lows, closes, p) for p in params.adx_periods]
-    lower, middle, upper = bollinger(closes, params)
-    cols += [lower, middle, upper]
-    cols += [williams_r(highs, lows, closes, p) for p in params.wr_periods]
-
-    values = np.column_stack(cols)
+    names = params.column_names()
+    values = np.empty((len(series), len(names)))
     warmup = 0
-    for j in range(values.shape[1]):
-        finite = np.nonzero(np.isfinite(values[:, j]))[0]
-        first = int(finite[0]) if finite.size else len(series)
-        warmup = max(warmup, first)
+    for j, col in enumerate(_columns(series, params)):
+        values[:, j] = col
+        finite = np.nonzero(np.isfinite(col))[0]
+        warmup = max(warmup, int(finite[0]) if finite.size else len(series))
     if warmup >= len(series):
         warnings.warn(
             f"series of {len(series)} bars is shorter than the indicator warm-up; "
@@ -264,10 +260,25 @@ def feature_matrix(series: CandleSeries, params: IndicatorParams = IndicatorPara
     elif not np.all(np.isfinite(values[warmup:])):
         bad = np.argwhere(~np.isfinite(values[warmup:]))[0]
         raise DataError(
-            f"indicator {params.column_names()[bad[1]]} is not finite at bar {warmup + int(bad[0])}, "
+            f"indicator {names[bad[1]]} is not finite at bar {warmup + int(bad[0])}, "
             f"past its warm-up of {warmup} bars"
         )
-    return FeatureMatrix(tuple(params.column_names()), values, warmup)
+    return FeatureMatrix(tuple(names), values, warmup)
+
+
+def _columns(series: CandleSeries, params: IndicatorParams):
+    """Yield the indicator columns one at a time, in `column_names` order."""
+    closes, highs, lows = series.closes, series.highs, series.lows
+    yield from macd(closes, params)
+    for p in params.sma_periods:
+        yield sma(closes, p)
+    for p in params.rsi_periods:
+        yield rsi(closes, p)
+    for p in params.adx_periods:
+        yield adx(highs, lows, closes, p)
+    yield from bollinger(closes, params)
+    for p in params.wr_periods:
+        yield williams_r(highs, lows, closes, p)
 
 
 def save_features_csv(series: CandleSeries, features: FeatureMatrix, path) -> None:

@@ -7,6 +7,7 @@ strictly increasing order, so session gaps (weekends) pass through untouched.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import inf, isfinite
@@ -107,54 +108,92 @@ def parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+_CANDLE_COLUMNS = ("timestamp", "open", "high", "low", "close")
+_BAR = np.dtype([(name, np.int64 if name == "timestamp" else np.float64) for name in _CANDLE_COLUMNS])
+
+
 def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSeries:
     """Load `timestamp,open,high,low,close` CSV (header required) into a validated series.
 
     Timestamps may be epoch seconds or ISO-8601 UTC. A volume column, if present,
     is ignored, and so are blank lines. Prices must be finite. Errors name the
     offending 1-based line number.
+
+    A body of integer timestamps is parsed column-wise in one `np.loadtxt` call,
+    and the series' arrays are views of its one record array. Where numpy
+    rejects a line (an ISO-8601 timestamp, a quoted field, ...) or a bar fails
+    the price checks, the file is read again row by row: that reader alone
+    parses ISO-8601 timestamps and words the errors.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"candle CSV not found: {path}")
-    required = ("timestamp", "open", "high", "low", "close")
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next((row for row in reader if row), None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        it, io, ih, il, ic = (header.index(col) for col in required)
-        for rec in reader:
-            if not rec:
-                continue
-            try:
-                ts = parse_timestamp(rec[it])
-                o, h, l, c = float(rec[io]), float(rec[ih]), float(rec[il]), float(rec[ic])
-            except (DataError, IndexError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row at line {reader.line_num}: {exc}") from exc
-            # one chained test: any NaN fails a comparison, and h < inf with l > 0 bounds the rest
-            if not (0.0 < l <= o <= h < inf and l <= c <= h):
-                line = reader.line_num
-                if not all(map(isfinite, (o, h, l, c))):
-                    raise DataError(f"{path}: non-finite price at line {line} (o={o} h={h} l={l} c={c})")
-                raise DataError(
-                    f"{path}: OHLC invariant violated at line {line} (o={o} h={h} l={l} c={c})"
-                )
-            rows.append((ts, o, h, l, c))
+        cols = _header_columns(path, reader)
+        bars = _parse_columns(fh, cols)
+        if bars is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            _header_columns(path, reader)
+            bars = _parse_rows(path, reader, cols)
+    return make_series(symbol, pip_size, *(bars[name] for name in _CANDLE_COLUMNS), source=str(path))
+
+
+def _header_columns(path, reader) -> list[int]:
+    """Read the header, the first non-blank row, and return the positions of the candle columns."""
+    header = next((row for row in reader if row), None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    missing = [col for col in _CANDLE_COLUMNS if col not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    return [header.index(col) for col in _CANDLE_COLUMNS]
+
+
+def _parse_columns(fh, cols) -> np.ndarray | None:
+    """The rest of `fh` as `_BAR` records; None if numpy rejects a line, no bar is left or one fails a price check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body reads as no bars
+        try:
+            bars = np.loadtxt(fh, delimiter=",", dtype=_BAR, usecols=cols, comments=None, ndmin=1)
+        except ValueError:
+            return None
+    o, h, l, c = (bars[name] for name in _CANDLE_COLUMNS[1:])
+    ok = (0.0 < l) & (l <= o) & (o <= h) & (h < inf) & (l <= c) & (c <= h)  # NaN fails every comparison
+    return bars if len(bars) and ok.all() else None
+
+
+def _parse_rows(path, reader, cols) -> dict[str, np.ndarray]:
+    """The candle arrays of the rows left in `reader`, parsed one by one; a bad row raises DataError naming its line."""
+    it, io, ih, il, ic = cols
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        try:
+            ts = parse_timestamp(rec[it])
+            o, h, l, c = float(rec[io]), float(rec[ih]), float(rec[il]), float(rec[ic])
+        except (DataError, IndexError, ValueError) as exc:
+            raise DataError(f"{path}: malformed row at line {reader.line_num}: {exc}") from exc
+        # one chained test: any NaN fails a comparison, and h < inf with l > 0 bounds the rest
+        if not (0.0 < l <= o <= h < inf and l <= c <= h):
+            line = reader.line_num
+            if not all(map(isfinite, (o, h, l, c))):
+                raise DataError(f"{path}: non-finite price at line {line} (o={o} h={h} l={l} c={c})")
+            raise DataError(
+                f"{path}: OHLC invariant violated at line {line} (o={o} h={h} l={l} c={c})"
+            )
+        rows.append((ts, o, h, l, c))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    ts, o, h, l, c = map(np.asarray, zip(*rows))
-    return make_series(symbol, pip_size, ts, o, h, l, c, source=str(path))
+    return dict(zip(_CANDLE_COLUMNS, map(np.asarray, zip(*rows))))
 
 
 def save_csv(series: CandleSeries, path) -> None:
     """Write a series back to the CSV input format (epoch-second timestamps)."""
     prices = np.column_stack([series.opens, series.highs, series.lows, series.closes])
-    write_table(path, ["timestamp", "open", "high", "low", "close"], series.timestamps, prices)
+    write_table(path, list(_CANDLE_COLUMNS), series.timestamps, prices)
 
 
 @dataclass(frozen=True)

@@ -66,12 +66,18 @@ def clip_global_norm(params: list[Param], max_norm: float) -> float:
     return total
 
 
+# 1.0 as a 0-d array for the per-step ufunc calls: a Python float operand is
+# converted again on every call, about 0.5 us each, which shows at batch size 1
+ONE = np.array(1.0)
+ONE.setflags(write=False)
+
+
 def sigmoid_(a: np.ndarray) -> np.ndarray:
     """a = 1 / (1 + exp(-a)) in place. Callers silence exp's overflow (a < -709): its limit 0.0 is right."""
     np.negative(a, out=a)
     np.exp(a, out=a)
-    a += 1.0
-    return np.divide(1.0, a, out=a)
+    a += ONE
+    return np.divide(ONE, a, out=a)
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:

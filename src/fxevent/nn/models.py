@@ -38,6 +38,7 @@ import numpy as np
 from ..dataset import Dataset, NormStats, invert_target
 from ..errors import ConfigError
 from .core import (
+    ONE,
     Dense,
     Param,
     adam_step,
@@ -320,7 +321,7 @@ class GRULayer(_FusedCell):
                 if t:
                     h_bar += rh @ U_h
                 np.tanh(h_bar, out=h_bar)
-                np.multiply(np.subtract(1.0, z, out=h), h_prev, out=h)
+                np.multiply(np.subtract(ONE, z, out=h), h_prev, out=h)
                 h += z * h_bar
                 h_prev = h
         self._cache = (x, A, rhs, hs)

@@ -395,6 +395,32 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: line {line} {error}")):
             load_dataset(tmp_path / "w")
 
+    @pytest.mark.parametrize(
+        "blank_after, line, edit, error",
+        [
+            (2, 5, lambda cells: [cells[0], "7", *cells[2:]],
+             "line 5 holds sample 0 timestep 7, expected sample 0 timestep 2"),
+            (None, 6, lambda cells: cells[:-1], "line 6: the number of columns changed from 5 to 4"),
+            (2, 7, lambda cells: cells[:-1], "line 7: the number of columns changed from 5 to 4"),
+            (2, 5, lambda cells: [*cells[:2], "abc", *cells[3:]],
+             "line 5: could not convert string 'abc' to float64, column 3."),
+            (2, 4, lambda cells: ["#" + cells[0], *cells[1:]],
+             "line 4: could not convert string '#0' to float64, column 1."),
+        ],
+        ids=["misplaced", "short", "short_after_blank", "not_a_number", "comment"],
+    )
+    def test_windows_error_names_file_line(self, rng, tmp_path, blank_after, line, edit, error):
+        # np.loadtxt skips the blank line, and numbers the rows it reads from 0 or 1
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "b")
+        path = tmp_path / "b_windows.csv"
+        lines = path.read_text().splitlines()
+        if blank_after:
+            lines.insert(blank_after, "")
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path.write_text("\r\n".join([*lines, ""]))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}") + "$"):
+            load_dataset(tmp_path / "b")
+
 
 class TestDatasetInvariants:
     def test_window_immutable(self, rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from fxevent.errors import ConfigError, DataError
@@ -167,6 +168,15 @@ class TestBollinger:
         defined = ~np.isnan(middle)
         assert np.all(lower[defined] <= middle[defined])
         assert np.all(middle[defined] <= upper[defined])
+
+    def test_row_blocks_equal_one_std(self, rng):
+        # more windows than one block holds, and a last block cut short
+        close = 1.1 + np.cumsum(rng.normal(0.0, 3e-4, size=10_000))
+        lower, middle, upper = bollinger(close)
+        dev = np.full(len(close), np.nan)
+        dev[19:] = sliding_window_view(close, 20).std(axis=1)
+        assert lower.tobytes() == (middle - 2.0 * dev).tobytes()
+        assert upper.tobytes() == (middle + 2.0 * dev).tobytes()
 
 
 class TestWilliamsR:

@@ -3,12 +3,14 @@ import tempfile
 import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fxevent import market_data
 from fxevent.errors import ConfigError, DataError
 from fxevent.market_data import (
     CandleSeries,
@@ -204,6 +206,87 @@ class TestLoadCsv:
             lines[row] = ",".join(fields)
             with pytest.raises(DataError, match=f"non-finite price at line {row + 1} "):
                 load_csv(write(Path(tmp), "\n".join(lines) + "\n"), "X")
+
+
+# Edits to one line of a save_csv file. np.loadtxt rejects each of them, or
+# reads it as the row loop does; either way load_csv must give what the row
+# loop alone gives.
+LINE_EDITS = ("blank", "spaces", "comment", "plus", "pad", "underscore", "dot_zero", "quote", "extra", "nan",
+              "infinity", "iso")
+
+
+def edit_line(line, edit, draw):
+    """The lines that replace `line` (`timestamp,open,high,low,close`) under `edit`."""
+    fields = line.split(",")
+    ts = fields[0]
+    if edit == "blank":
+        return ["", line]
+    if edit == "spaces":
+        return [" \t ", line]
+    if edit == "comment":
+        return ["# " + line, line]
+    if edit == "plus":
+        fields[0] = "+" + ts
+    elif edit == "pad":
+        i = draw(st.integers(0, 4))
+        fields[i] = f"  {fields[i]} "
+    elif edit == "underscore":
+        fields[0] = ts[:-1] + "_" + ts[-1] if len(ts.lstrip("-")) > 1 else ts
+    elif edit == "dot_zero":
+        fields[0] = ts + ".0"
+    elif edit == "quote":
+        i = draw(st.integers(0, 4))
+        fields[i] = f'"{fields[i]}"'
+    elif edit == "extra":
+        fields.append(str(draw(st.integers(0, 999))))
+    elif edit in ("nan", "infinity"):
+        values = ["nan", "NaN"] if edit == "nan" else ["Infinity", "inf", "-inf"]
+        fields[draw(st.integers(1, 4))] = draw(st.sampled_from(values))
+    elif edit == "iso":
+        epoch = draw(st.integers(0, 4_102_444_800))
+        fields[0] = datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return [",".join(fields)]
+
+
+def load_outcome(path):
+    """The bytes of load_csv's five arrays, or its error message."""
+    try:
+        series = load_csv(path, "X")
+    except DataError as exc:
+        return str(exc)
+    return [(getattr(series, f).dtype.str, getattr(series, f).tobytes())
+            for f in ("timestamps", "opens", "highs", "lows", "closes")]
+
+
+class TestLoadCsvReaders:
+    """The column-wise parse and the row loop must agree on every file."""
+
+    @settings(max_examples=150)
+    @given(series=candle_series(), data=st.data())
+    def test_column_parse_equals_row_loop(self, series, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            save_csv(series, path)
+            header, *rows = path.read_text().splitlines()
+            edits = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(LINE_EDITS)),
+                                       max_size=3, unique_by=lambda e: e[0]))
+            for i, edit in sorted(edits, reverse=True):
+                rows[i : i + 1] = edit_line(rows[i], edit, data.draw)
+            eol = data.draw(st.sampled_from(["\r\n", "\n"]))
+            path.write_bytes(eol.join([header, *rows, ""]).encode())
+            both = load_outcome(path)
+            with mock.patch.object(market_data, "_parse_columns", lambda fh, cols: None):
+                assert both == load_outcome(path)
+
+    def test_saved_file_skips_the_row_loop(self, rng, tmp_path):
+        series = random_walk_series(rng, 2000)
+        save_csv(series, tmp_path / "walk.csv")
+
+        def fail(*args):
+            raise AssertionError("the row loop ran")
+
+        with mock.patch.object(market_data, "_parse_rows", fail):
+            assert_same_series(load_csv(tmp_path / "walk.csv", "RND"), series)
 
 
 class TestSyntheticSeries:

@@ -1,0 +1,79 @@
+"""Memory budgets of the prepare path, measured with tracemalloc.
+
+tracemalloc counts the bytes numpy and Python allocate, the same on every
+run, unlike the resident set size, which depends on the allocator and on what
+ran before. Each budget is a multiple of the call's result (or input), on a
+20k-bar random walk; a transient copy of the whole result breaks it.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fxevent.dataset import Dataset, Sample, build_samples, fit_normalizer
+from fxevent.events import assemble_sequences, crossovers, zigzag
+from fxevent.indicators import ema, feature_matrix
+from fxevent.market_data import load_csv, save_csv
+
+from conftest import random_walk_series
+
+BARS = 20_000
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def walk20k():
+    return random_walk_series(np.random.default_rng(20240811), BARS)
+
+
+@pytest.fixture(scope="module")
+def features20k(walk20k):
+    return feature_matrix(walk20k)
+
+
+def test_feature_matrix_peak_below_1_8x_result(walk20k):
+    features, peak = traced_peak(feature_matrix, walk20k)
+    assert peak < 1.8 * features.values.nbytes, f"peak {peak / features.values.nbytes:.2f}x the matrix"
+
+
+def test_fit_normalizer_peak_below_1_2x_one_stack(features20k):
+    values = features20k.values
+    ends = range(features20k.warmup_len + 29, len(values), 20)
+    samples = tuple(Sample(values[e - 29 : e + 1], float(values[e, 0]), e, e, e) for e in ends)
+    train = Dataset(samples, 30, "train")
+    rows = train.windows().reshape(-1, train.n_features)
+    stats, peak = traced_peak(fit_normalizer, train)
+    assert peak < 1.2 * rows.nbytes, f"peak {peak / rows.nbytes:.2f}x the stacked windows"
+    assert stats.feature_mean.tobytes() == rows.mean(axis=0).tobytes()
+    assert stats.feature_std.tobytes() == rows.std(axis=0).tobytes()
+
+
+def test_load_csv_peak_below_2x_its_arrays(walk20k, tmp_path):
+    path = tmp_path / "walk.csv"
+    save_csv(walk20k, path)
+    series, peak = traced_peak(load_csv, path, "RW")
+    arrays = sum(getattr(series, f).nbytes for f in ("timestamps", "opens", "highs", "lows", "closes"))
+    assert peak < 2 * arrays, f"peak {peak / arrays:.2f}x the five arrays"
+    for field in ("timestamps", "opens", "highs", "lows", "closes"):
+        assert getattr(series, field).tobytes() == getattr(walk20k, field).tobytes(), field
+
+
+def test_build_samples_windows_are_read_only_views(walk20k, features20k):
+    pivots = zigzag(walk20k)
+    crosses = crossovers(ema(walk20k.closes, 5), ema(walk20k.closes, 20))
+    sequences, _ = assemble_sequences(pivots, crosses, walk20k)
+    samples, _ = build_samples(features20k, sequences, 30, walk20k)
+    assert samples
+    for s in samples:
+        assert np.shares_memory(s.window, features20k.values)
+        assert not s.window.flags.writeable
