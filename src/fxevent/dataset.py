@@ -199,15 +199,21 @@ def fit_normalizer(train: Dataset) -> NormStats:
 
 
 def apply_norm(ds: Dataset, stats: NormStats) -> Dataset:
-    """Z-score features and targets; the result carries the stats fingerprint."""
+    """Z-score features and targets; the result carries the stats fingerprint.
+
+    The windows are normalized in place on one stacked (n_samples, n_timesteps,
+    n_features) copy, and each normalized sample holds a read-only view of that
+    block, so the block lives as long as any of its samples. Every value is
+    bitwise (window - mean) / std of its own sample.
+    """
     stats.check_width(ds.n_features)
+    block = ds.windows()
+    block -= stats.feature_mean
+    block /= stats.feature_std
+    block.setflags(write=False)
     samples = tuple(
-        replace(
-            s,
-            window=(s.window - stats.feature_mean) / stats.feature_std,
-            target=(s.target - stats.target_mean) / stats.target_std,
-        )
-        for s in ds.samples
+        replace(s, window=w, target=(s.target - stats.target_mean) / stats.target_std)
+        for s, w in zip(ds.samples, block)
     )
     return Dataset(samples, ds.n_timesteps, ds.role, stats.fingerprint, ds.feature_names)
 

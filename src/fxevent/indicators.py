@@ -16,6 +16,7 @@ Conventions pinned here so independent re-computations agree:
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,34 +97,38 @@ def sma(close: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _smooth(xs: np.ndarray, acc: float, n: int = 0, k: float = 0.0) -> list[float]:
-    """Run a first-order recurrence from `acc` over `xs`; returns the state after each step.
+def _smooth(xs: np.ndarray, acc: float, n: int = 0, k: float = 0.0) -> np.ndarray:
+    """Run a first-order recurrence from `acc` over `xs`.
+
+    Returns a float64 array of len(xs) + 1: element 0 is the start state `acc`,
+    element i the state after step i.
 
     With `n`, Wilder's smoothing acc = (acc*(n-1) + x) / n; otherwise the EMA
     step acc = x*k + acc*(1-k). The loop runs over Python floats, which keeps
     numpy's per-scalar dispatch out of it; the arithmetic, and so every bit of
-    the result, is that of the same recurrence on float64 scalars.
+    the result, is that of the same recurrence on float64 scalars. It reads `xs`
+    through a memoryview and appends to a float64 buffer, so no list of boxed
+    floats is built on either side; the result is a view of that buffer.
     """
-    out = []
+    out = array("d", [acc])
     append = out.append
     acc = float(acc)
     if n:
         w = n - 1
-        for x in xs.tolist():
+        for x in memoryview(xs):
             acc = (acc * w + x) / n
             append(acc)
     else:
         j = 1.0 - k
-        for x in xs.tolist():
+        for x in memoryview(xs):
             acc = x * k + acc * j
             append(acc)
-    return out
+    return np.frombuffer(out)
 
 
 def _wilder_series(xs: np.ndarray, n: int) -> np.ndarray:
     """Wilder average of `xs`: the mean of xs[:n], then one smoothing step per later value."""
-    seed = xs[:n].mean()
-    return np.array([seed, *_smooth(xs[n:], seed, n=n)])
+    return _smooth(xs[n:], xs[:n].mean(), n=n)
 
 
 def ema(close: np.ndarray, n: int) -> np.ndarray:
@@ -133,10 +138,10 @@ def ema(close: np.ndarray, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ConfigError(f"ema period must be >= 1, got {n}")
-    out = np.array(close, dtype=np.float64)
-    if len(out):
-        out[1:] = _smooth(out[1:], out[0], k=2.0 / (n + 1.0))
-    return out
+    close = np.asarray(close, dtype=np.float64)
+    if not len(close):
+        return np.empty(0)
+    return _smooth(close[1:], close[0], k=2.0 / (n + 1.0))
 
 
 def macd(close: np.ndarray, params: IndicatorParams = IndicatorParams()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

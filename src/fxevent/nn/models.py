@@ -617,11 +617,6 @@ def load_model(path) -> RecurrentModel:
     """Read a file written by save_model; any malformed line raises ConfigError naming the file."""
     with open(path) as fh:
         magic = fh.readline().strip()
-        if magic == "fxevent-model v1":
-            raise ConfigError(
-                f"{path}: fxevent-model v1 files hold per-gate weights, which this version "
-                "does not read; retrain to write a v2 model"
-            )
         if magic != _MODEL_MAGIC:
             raise ConfigError(f"{path}: not a model file (header {magic!r})")
         cfg_line = fh.readline().strip()

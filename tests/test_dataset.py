@@ -107,6 +107,19 @@ class TestNormalizer:
         assert np.max(np.abs(rows.std(axis=0) - 1.0)) < 1e-9
         assert abs(normed.targets().mean()) < 1e-9
 
+    @pytest.mark.parametrize("n_samples", [1, 40])
+    def test_applied_windows_are_read_only_views_of_one_block(self, rng, n_samples):
+        stats = fit_normalizer(tiny_dataset(rng, n_samples=12))
+        ds = tiny_dataset(rng, n_samples=n_samples)
+        normed = apply_norm(ds, stats)
+        block = normed.samples[0].window.base
+        assert isinstance(block, np.ndarray) and block.shape == (n_samples, 4, 3)
+        assert not block.flags.writeable
+        for s, raw in zip(normed.samples, ds.samples):
+            assert s.window.base is block
+            assert not s.window.flags.writeable
+            assert s.window.tobytes() == ((raw.window - stats.feature_mean) / stats.feature_std).tobytes()
+
     def test_hand_computed_two_samples(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
         w2 = np.array([[5.0, 6.0], [7.0, 8.0]])

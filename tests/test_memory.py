@@ -13,12 +13,13 @@ import pytest
 
 from fxevent.dataset import Dataset, Sample, build_samples, fit_normalizer
 from fxevent.events import assemble_sequences, crossovers, zigzag
-from fxevent.indicators import ema, feature_matrix
+from fxevent.indicators import adx, ema, feature_matrix, rsi
 from fxevent.market_data import load_csv, save_csv
 
 from conftest import random_walk_series
 
 BARS = 20_000
+COLUMN = 8 * BARS  # bytes in one float64 column of the walk
 
 
 def traced_peak(fn, *args):
@@ -44,6 +45,21 @@ def features20k(walk20k):
 def test_feature_matrix_peak_below_1_8x_result(walk20k):
     features, peak = traced_peak(feature_matrix, walk20k)
     assert peak < 1.8 * features.values.nbytes, f"peak {peak / features.values.nbytes:.2f}x the matrix"
+
+
+@pytest.mark.parametrize(
+    "kernel, columns",
+    [
+        (lambda s: ema(s.closes, 12), 3),
+        (lambda s: rsi(s.closes, 14), 8),
+        (lambda s: adx(s.highs, s.lows, s.closes, 14), 14),
+    ],
+    ids=["ema", "rsi", "adx"],
+)
+def test_recurrence_peak_in_float64_columns(walk20k, kernel, columns):
+    # the smoothing loops fill a float64 buffer; a list of boxed floats costs 4 columns
+    _, peak = traced_peak(kernel, walk20k)
+    assert peak < columns * COLUMN, f"peak {peak / COLUMN:.1f} float64 columns"
 
 
 def test_fit_normalizer_peak_below_1_2x_one_stack(features20k):

@@ -615,10 +615,10 @@ class TestSaveLoad:
         with pytest.raises(ConfigError):
             load_model(path)
 
-    def test_v1_file_rejected_with_retrain_hint(self, tmp_path):
+    def test_v1_file_rejected_as_not_a_model_file(self, tmp_path):
         path = tmp_path / "old.model.txt"
         path.write_text("fxevent-model v1\nconfig {}\n")
-        with pytest.raises(ConfigError, match=r"old\.model\.txt: fxevent-model v1 .*retrain"):
+        with pytest.raises(ConfigError, match=r"old\.model\.txt: not a model file \(header 'fxevent-model v1'\)$"):
             load_model(path)
 
     @pytest.mark.parametrize(
