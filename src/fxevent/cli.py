@@ -122,6 +122,9 @@ def cmd_evaluate(args):
     stats_path = args.stats or ds_mod.stats_path(args.model)
     stats = ds_mod.load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
+    if (ds.n_timesteps, ds.n_features) != (model.config.n_timesteps, model.config.input_dim):
+        raise ConfigError(f"{args.dataset}_windows.csv holds windows of {ds.n_timesteps} timesteps x {ds.n_features} "
+                          f"features, but {args.model} expects {model.config.n_timesteps} x {model.config.input_dim}")
     try:  # both checks run before apply_norm divides by the stats
         stats.check_width(ds.n_features)
         if model.stats_fingerprint not in (None, stats.fingerprint):

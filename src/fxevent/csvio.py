@@ -1,4 +1,7 @@
-"""CSV row blocks shared by the candle, feature, dataset and predictions writers.
+"""CSV reading and writing shared by the candle, feature, dataset and predictions files.
+
+Every CSV body the program reads goes through `read_rows`, its one `np.loadtxt`
+call: comma separated, `"` quotes read, empty lines skipped, no comment lines.
 
 Rows come out byte for byte as the default `csv.writer` dialect writes them:
 fields joined by commas, each line ending in CRLF, floats as their shortest
@@ -11,6 +14,8 @@ holding a whole file in memory.
 from __future__ import annotations
 
 import csv
+import re
+import warnings
 from math import isfinite
 
 import numpy as np
@@ -45,3 +50,54 @@ def write_table(path, header, keys: np.ndarray, values: np.ndarray, blank_nonfin
         for lo in range(0, len(keys), CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
             fh.write(format_rows(keys[lo:hi], values[lo:hi], blank_nonfinite))
+
+
+class RowError(ValueError):
+    """A line of a CSV body that numpy rejected; `row` is its data row (from 0), or None if numpy named none."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+# np.loadtxt names a data row, counted from 0 in a conversion error and from 1
+# in the column-count errors below (whose advice to use `usecols` is dropped)
+_AT_ROW = re.compile(r"(.*) at row (\d+)(?:; use .*)?(.*)", re.DOTALL)
+_ROWS_FROM_1 = ("the number of columns changed", "invalid column index", "the dtype passed requires")
+
+
+def read_rows(path, fh, header_line: int, dtype, **loadtxt_args) -> np.ndarray:
+    """The rest of `fh`, the body of the CSV file `path` whose header is line `header_line`, as `dtype` rows.
+
+    A line numpy rejects raises RowError: `malformed row at line L: <numpy's
+    reason>`, carrying the data row; a numpy message without a row number is
+    raised as it is.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body reads as no rows; callers report it
+        try:
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', **loadtxt_args)
+        except ValueError as exc:
+            text = str(exc)
+    found = _AT_ROW.fullmatch(text)
+    if found is None:
+        raise RowError(text) from None
+    row = int(found[2]) - text.startswith(_ROWS_FROM_1)
+    line = line_of_row(path, header_line, row)
+    raise RowError(f"malformed row at line {line}: {found[1]}{found[3]}", row) from None
+
+
+def line_of_row(path, header_line: int, row: int) -> int:
+    """The line of `path` that holds data row `row` (from 0) of the body after line `header_line`.
+
+    Counts the empty lines that np.loadtxt skips; a `row` past the last one
+    names the line after the last row. Read only to word an error.
+    """
+    last = header_line
+    with open(path) as fh:
+        for number, text in enumerate(fh, start=1):
+            if number > header_line and text != "\n":
+                if row == 0:
+                    return number
+                row, last = row - 1, number
+    return last + 1

@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
-import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -20,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import format_rows
+from .csvio import RowError, format_rows, line_of_row, read_rows
 from .errors import ConfigError
 from .events import EventSequence
 from .indicators import FeatureMatrix
@@ -240,26 +238,28 @@ def save_dataset(ds: Dataset, prefix) -> None:
         fh.write(format_rows(keys, np.reshape([s.target for s in ds.samples], (-1, 1))))
 
 
+_TARGET_ROW = np.dtype([("sample_id", np.int64), ("e2_ts", np.int64), ("e3_ts", np.int64), ("target", np.float64)])
+
+
 def load_dataset(prefix, role: str = "train") -> Dataset:
     """Read the CSV pair written by save_dataset, in the layout it writes.
 
     Windows rows hold samples 0..N-1 in order, each sample's timesteps 0..T-1 in
     order, where T is the row count of sample 0; the targets file holds one row
     per sample in the same order. Every row needs the same number of fields and
-    every value must be finite. Otherwise a ConfigError names the file, the first
-    line out of place and what that line should hold. Empty lines are skipped;
-    a `#` line is a malformed row like any other. Source-series bar indices
+    every value must be finite. Both bodies go through `csvio.read_rows`: empty
+    lines are skipped, `"` quotes are read, and a `#` line is a malformed row
+    like any other. The first fault in a file raises ConfigError naming the
+    file, its line and what that line should hold. Source-series bar indices
     are not part of the wire format, so reloaded samples carry e2_index = -1.
     """
     windows_path = f"{prefix}_windows.csv"
     with open(windows_path) as fh:
         feature_names = tuple(next(csv.reader([fh.readline()]), [])[2:])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
-            try:
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ConfigError(f"{windows_path}: {_at_line(windows_path, exc)}") from exc
+        try:
+            rows = read_rows(windows_path, fh, 1, np.float64, ndmin=2)
+        except RowError as exc:
+            raise ConfigError(f"{windows_path}: {exc}") from None
     if rows.shape[1] < 2:  # an empty body parses to shape (0, 1)
         raise ConfigError(f"{windows_path} holds no samples")
     nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -274,60 +274,27 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     if misplaced.size or step[-1]:  # a row out of place, or a last sample cut short
         i = misplaced[0] if misplaced.size else len(rows)
         found = f"holds sample {rows[i, 0]:.15g} timestep {rows[i, 1]:.15g}" if i < len(rows) else "is missing"
-        line = _line_of_row(windows_path, i)
+        line = line_of_row(windows_path, 1, i)
         raise ConfigError(f"{windows_path}: line {line} {found}, expected sample {sample[i]} timestep {step[i]}")
     windows = rows[:, 2:].reshape(len(rows) // n_steps, n_steps, rows.shape[1] - 2)
 
     targets_path = f"{prefix}_targets.csv"
-    meta = []
-    with open(targets_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            try:
-                key, e2_ts, e3_ts, target = row
-                key, e2_ts, e3_ts, target = int(key), int(e2_ts), int(e3_ts), float(target)
-                if key != len(meta) or key == len(windows):
-                    expected = f"sample {len(meta)}" if len(meta) < len(windows) else "the end of the file"
-                    raise ValueError(f"holds sample {key}, expected {expected}")
-            except ValueError as exc:
-                raise ConfigError(f"{targets_path}: malformed row at line {reader.line_num} ({exc})") from None
-            if not math.isfinite(target):
-                raise ConfigError(f"{targets_path}: non-finite target at line {reader.line_num}")
-            meta.append((e2_ts, e3_ts, target))
+    with open(targets_path) as fh:
+        fh.readline()
+        try:
+            meta = read_rows(targets_path, fh, 1, _TARGET_ROW, ndmin=1)
+        except RowError as exc:
+            raise ConfigError(f"{targets_path}: {exc}") from None
+    ids = np.arange(len(meta))
+    bad = np.flatnonzero((meta["sample_id"] != ids) | (ids >= len(windows)) | ~np.isfinite(meta["target"]))
+    if bad.size:
+        i = int(bad[0])
+        key, line = int(meta["sample_id"][i]), line_of_row(targets_path, 1, i)
+        if key == i < len(windows):
+            raise ConfigError(f"{targets_path}: non-finite target at line {line}")
+        expected = f"sample {i}" if i < len(windows) else "the end of the file"
+        raise ConfigError(f"{targets_path}: line {line} holds sample {key}, expected {expected}")
     if len(meta) < len(windows):
         raise ConfigError(f"{targets_path}: no row for sample {len(meta)}")
-    samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (e2_ts, e3_ts, target) in zip(windows, meta))
+    samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (_, e2_ts, e3_ts, target) in zip(windows, meta.tolist()))
     return Dataset(samples, n_steps, role, feature_names=feature_names)
-
-
-# np.loadtxt names a data row, counted from 0 in a conversion error and from 1
-# in a column-count error (whose advice to use `usecols` is dropped here)
-_NUMPY_ROW = re.compile(r" at row (\d+)(; use .*)?")
-
-
-def _at_line(path, exc: ValueError) -> str:
-    """np.loadtxt's message for a windows file, with its data row turned into the file line."""
-    text = str(exc)
-    found = _NUMPY_ROW.search(text)
-    if found is None:
-        return text
-    row = int(found[1]) - ("number of columns changed" in text)
-    return f"line {_line_of_row(path, row)}: {text[: found.start()]}{text[found.end() :]}"
-
-
-def _line_of_row(path, row: int) -> int:
-    """The line of a windows file that holds data row `row` (from 0), or the line after the last row.
-
-    Counts the header and the empty lines that np.loadtxt skips; read only to word an error.
-    """
-    last = 1
-    with open(path) as fh:
-        fh.readline()
-        for number, text in enumerate(fh, start=2):
-            if text != "\n":
-                if row == 0:
-                    return number
-                row -= 1
-                last = number
-    return last + 1

@@ -7,15 +7,15 @@ strictly increasing order, so session gaps (weekends) pass through untouched.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_table
+from .csvio import RowError, line_of_row, read_rows, write_table
 from .errors import ConfigError, DataError
 
 DEFAULT_PIP_SIZE = 1e-4
@@ -29,7 +29,7 @@ class CandleSeries:
 
     Timestamps must be strictly increasing, every price finite, and every bar
     must satisfy high >= max(open, close), low <= min(open, close) and low > 0.
-    A violation raises DataError naming the bar's timestamp.
+    The first violation raises DataError naming the bar's timestamp.
     """
 
     symbol: str
@@ -53,17 +53,24 @@ class CandleSeries:
         if back.size:
             i = int(back[0]) + 1
             raise DataError(f"timestamps not strictly increasing at ts={int(ts[i])} (after {int(ts[i - 1])})")
-        nonfinite = np.nonzero(~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)))[0]
-        if nonfinite.size:
-            i = int(nonfinite[0])
-            raise DataError(f"non-finite price at ts={int(ts[i])} (o={o[i]} h={h[i]} l={l[i]} c={c[i]})")
-        bad = np.nonzero((h < np.maximum(o, c)) | (l > np.minimum(o, c)) | (l <= 0))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(f"OHLC invariant violated at ts={int(ts[i])} (o={o[i]} h={h[i]} l={l[i]} c={c[i]})")
+        fault = _bar_fault(o, h, l, c, where=lambda i: f"ts={int(ts[i])}")
+        if fault:
+            raise DataError(fault)
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+
+def _bar_fault(o, h, l, c, where) -> str | None:
+    """The first bar not finite or not high >= max(open, close) >= min(open, close) >= low > 0, named by `where(i)`."""
+    # NaN fails every comparison, and h < inf with l > 0 bounds the rest
+    bad = np.flatnonzero(~((0.0 < l) & (l <= o) & (o <= h) & (h < inf) & (l <= c) & (c <= h)))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    prices = float(o[i]), float(h[i]), float(l[i]), float(c[i])
+    fault = "OHLC invariant violated" if all(map(isfinite, prices)) else "non-finite price"
+    return f"{fault} at {where(i)} (o={prices[0]} h={prices[1]} l={prices[2]} c={prices[3]})"
 
 
 def make_series(symbol, pip_size, timestamps, opens, highs, lows, closes, source="<memory>") -> CandleSeries:
@@ -116,78 +123,44 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
     """Load `timestamp,open,high,low,close` CSV (header required) into a validated series.
 
     Timestamps may be epoch seconds or ISO-8601 UTC. A volume column, if present,
-    is ignored, and so are blank lines. Prices must be finite. Errors name the
-    offending 1-based line number.
+    is ignored, and so are blank lines; any field may be `"`-quoted. Prices must
+    be finite. The first fault in the file raises DataError naming its 1-based
+    line.
 
-    A body of integer timestamps is parsed column-wise in one `np.loadtxt` call,
-    and the series' arrays are views of its one record array. Where numpy
-    rejects a line (an ISO-8601 timestamp, a quoted field, ...) or a bar fails
-    the price checks, the file is read again row by row: that reader alone
-    parses ISO-8601 timestamps and words the errors.
+    The body is parsed in one `csvio.read_rows` call, with `parse_timestamp`
+    converting the timestamp column, and the series' arrays are views of its
+    one record array. Where numpy rejects a line, the rows before it are read
+    again, so that a bad bar above that line is the one reported.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"candle CSV not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        cols = _header_columns(path, reader)
-        bars = _parse_columns(fh, cols)
-        if bars is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            _header_columns(path, reader)
-            bars = _parse_rows(path, reader, cols)
-    return make_series(symbol, pip_size, *(bars[name] for name in _CANDLE_COLUMNS), source=str(path))
-
-
-def _header_columns(path, reader) -> list[int]:
-    """Read the header, the first non-blank row, and return the positions of the candle columns."""
-    header = next((row for row in reader if row), None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    missing = [col for col in _CANDLE_COLUMNS if col not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
-    return [header.index(col) for col in _CANDLE_COLUMNS]
-
-
-def _parse_columns(fh, cols) -> np.ndarray | None:
-    """The rest of `fh` as `_BAR` records; None if numpy rejects a line, no bar is left or one fails a price check."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty body reads as no bars
+        for header_line, text in enumerate(iter(fh.readline, ""), start=1):  # the first non-blank line
+            header = next(csv.reader([text]), [])
+            if header:
+                break
+        else:
+            raise DataError(f"{path}: empty file")
+        missing = [col for col in _CANDLE_COLUMNS if col not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        cols = [header.index(col) for col in _CANDLE_COLUMNS]
+        read = partial(read_rows, path, fh, header_line, _BAR, usecols=cols, ndmin=1,
+                       converters={cols[0]: parse_timestamp})
+        body = fh.tell()
         try:
-            bars = np.loadtxt(fh, delimiter=",", dtype=_BAR, usecols=cols, comments=None, ndmin=1)
-        except ValueError:
-            return None
-    o, h, l, c = (bars[name] for name in _CANDLE_COLUMNS[1:])
-    ok = (0.0 < l) & (l <= o) & (o <= h) & (h < inf) & (l <= c) & (c <= h)  # NaN fails every comparison
-    return bars if len(bars) and ok.all() else None
-
-
-def _parse_rows(path, reader, cols) -> dict[str, np.ndarray]:
-    """The candle arrays of the rows left in `reader`, parsed one by one; a bad row raises DataError naming its line."""
-    it, io, ih, il, ic = cols
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        try:
-            ts = parse_timestamp(rec[it])
-            o, h, l, c = float(rec[io]), float(rec[ih]), float(rec[il]), float(rec[ic])
-        except (DataError, IndexError, ValueError) as exc:
-            raise DataError(f"{path}: malformed row at line {reader.line_num}: {exc}") from exc
-        # one chained test: any NaN fails a comparison, and h < inf with l > 0 bounds the rest
-        if not (0.0 < l <= o <= h < inf and l <= c <= h):
-            line = reader.line_num
-            if not all(map(isfinite, (o, h, l, c))):
-                raise DataError(f"{path}: non-finite price at line {line} (o={o} h={h} l={l} c={c})")
-            raise DataError(
-                f"{path}: OHLC invariant violated at line {line} (o={o} h={h} l={l} c={c})"
-            )
-        rows.append((ts, o, h, l, c))
-    if not rows:
+            bars, malformed = read(), None
+        except RowError as exc:  # read the rows above the rejected one, for a bad bar among them
+            fh.seek(body)
+            bars, malformed = read(max_rows=exc.row or 0), exc
+    fault = _bar_fault(*(bars[name] for name in _CANDLE_COLUMNS[1:]),
+                       where=lambda i: f"line {line_of_row(path, header_line, i)}")
+    if fault or malformed:
+        raise DataError(f"{path}: {fault or malformed}")
+    if not len(bars):
         raise DataError(f"{path}: no data rows")
-    return dict(zip(_CANDLE_COLUMNS, map(np.asarray, zip(*rows))))
+    return make_series(symbol, pip_size, *(bars[name] for name in _CANDLE_COLUMNS), source=str(path))
 
 
 def save_csv(series: CandleSeries, path) -> None:

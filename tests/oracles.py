@@ -4,9 +4,14 @@ Everything here is written for transparency, not speed: per-index window scans
 and step-by-step recurrences, independent of the library's vectorized kernels.
 """
 
+import csv
+from math import inf, isfinite
+
 import numpy as np
 
+from fxevent.errors import DataError
 from fxevent.events import BEARISH, BULLISH, DOWN, TROUGH, UP, CrossEvent, EventSequence, SequenceDiagnostics
+from fxevent.market_data import make_series, parse_timestamp
 from fxevent.nn.core import Dense, Param
 
 
@@ -662,3 +667,41 @@ class PerGateModel:
             dseq[:, -1] = dhead_in
         for layer in reversed(self.layers):
             dseq = layer.backward(dseq)
+
+
+# ---------------------------------------------------------------------------
+# The candle CSV reader as a csv row loop: one row at a time through Python's
+# csv, int, float and parse_timestamp, the first bad row raising. load_csv must
+# give the same arrays bitwise, and the same error up to numpy's wording of a
+# malformed row.
+
+CANDLE_COLUMNS = ("timestamp", "open", "high", "low", "close")
+
+
+def load_csv_rows(path, symbol, pip_size=1e-4):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        missing = [col for col in CANDLE_COLUMNS if col not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        it, io, ih, il, ic = (header.index(col) for col in CANDLE_COLUMNS)
+        rows = []
+        for rec in reader:
+            if not rec:
+                continue
+            try:
+                ts = parse_timestamp(rec[it])
+                o, h, l, c = float(rec[io]), float(rec[ih]), float(rec[il]), float(rec[ic])
+            except (DataError, IndexError, ValueError) as exc:
+                raise DataError(f"{path}: malformed row at line {reader.line_num}: {exc}") from exc
+            if not (0.0 < l <= o <= h < inf and l <= c <= h):
+                fault = "non-finite price" if not all(map(isfinite, (o, h, l, c))) else "OHLC invariant violated"
+                raise DataError(f"{path}: {fault} at line {reader.line_num} (o={o} h={h} l={l} c={c})")
+            rows.append((ts, o, h, l, c))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    columns = [np.array(col, dtype=np.int64 if i == 0 else np.float64) for i, col in enumerate(zip(*rows))]
+    return make_series(symbol, pip_size, *columns, source=str(path))

@@ -662,6 +662,21 @@ class TestCli:
         assert err.startswith(f"error: {stats_path}: ")
         assert "5 feature means" in err and "28 features" in err
 
+    def test_window_shape_mismatch_names_both_files(self, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
+        for t in (10, 12):
+            main(["dataset", "--csv", str(series_csv), "--timesteps", str(t), "--out", str(tmp_path / f"ds{t}")])
+        model_path = tmp_path / "m.model.txt"
+        main(["train", "--dataset", str(tmp_path / "ds10"), "--kind", "rnn", "--hidden", "4",
+              "--epochs", "1", "--out", str(model_path)])
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model_path), "--dataset", str(tmp_path / "ds12"),
+                     "--out-dir", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'ds12'}_windows.csv holds windows of 12 timesteps "
+                                           f"x 28 features, but {model_path} expects 10 x 28\n")
+        assert not (tmp_path / "eval").exists()
+
     def test_stats_checked_against_model_before_normalizing(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])

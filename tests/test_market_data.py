@@ -3,14 +3,13 @@ import tempfile
 import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fxevent import market_data
+from fxevent.cli import main
 from fxevent.errors import ConfigError, DataError
 from fxevent.market_data import (
     CandleSeries,
@@ -23,6 +22,7 @@ from fxevent.market_data import (
 )
 
 from conftest import random_walk_series
+from oracles import load_csv_rows
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -155,6 +155,42 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="malformed row at line 3"):
             load_csv(path, "X")
 
+    @pytest.mark.parametrize(
+        "at, row, reason",
+        [
+            (1, "200,abc,1.3,1.0,1.2", "could not convert string 'abc' to float64, column 2."),
+            (0, "200,abc,1.3,1.0,1.2", "could not convert string 'abc' to float64, column 2."),
+            (1, "2x0,1.1,1.3,1.0,1.2", "could not convert string '2x0' to int64, column 1."),
+            (1, "200,1.1,1.3,1.0", "invalid column index 4 with 4 columns"),
+            (0, "200,1.1,1.3,1.0", "invalid column index 4 with 4 columns"),
+        ],
+    )
+    def test_numpy_message_forms_name_the_line(self, tmp_path, at, row, reason):
+        # numpy counts a conversion error's row from 0 and a column-count error's from 1
+        lines = ["timestamp,open,high,low,close", "100,1.0,1.2,0.9,1.1", "300,1.2,1.4,1.1,1.3"]
+        lines[1 + at : 1 + at] = ["", row]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed row at line {at + 3}: {reason}") + "$"):
+            load_csv(path, "X")
+
+    def test_numpy_error_without_a_row_names_the_file(self, tmp_path):
+        # the text layer decodes the body a block at a time, so the bad byte must lie past the first block
+        rows = [f"{100 * i},1.0,1.2,0.9,1.1" for i in range(1, 2000)]
+        path = tmp_path / "latin.csv"
+        path.write_bytes("\n".join(["timestamp,open,high,low,close", *rows, "200000,1.\xff0,1.2,0.9,1.1", ""])
+                         .encode("latin-1"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            load_csv(path, "X")
+
+    def test_oversized_timestamp_is_a_malformed_row(self, tmp_path, capsys):
+        path = write(tmp_path, "timestamp,open,high,low,close\n99999999999999999999,1.0,1.2,0.9,1.1\n")
+        message = (f"{path}: malformed row at line 2: could not convert string '99999999999999999999' to int64, "
+                   "column 1.")
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_csv(path, "X")
+        assert main(["features", "--csv", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "timestamp,open,high,low\n100,1.0,1.2,0.9\n")
         with pytest.raises(DataError, match="close"):
@@ -210,7 +246,7 @@ class TestLoadCsv:
 
 # Edits to one line of a save_csv file. np.loadtxt rejects each of them, or
 # reads it as the row loop does; either way load_csv must give what the row
-# loop alone gives.
+# loop gives.
 LINE_EDITS = ("blank", "spaces", "comment", "plus", "pad", "underscore", "dot_zero", "quote", "extra", "nan",
               "infinity", "iso")
 
@@ -248,18 +284,18 @@ def edit_line(line, edit, draw):
     return [",".join(fields)]
 
 
-def load_outcome(path):
-    """The bytes of load_csv's five arrays, or its error message."""
+def load_outcome(load, path):
+    """The bytes of the five arrays `load` reads from `path`, or its error message up to a malformed row's reason."""
     try:
-        series = load_csv(path, "X")
+        series = load(path, "X")
     except DataError as exc:
-        return str(exc)
+        return re.sub(r"(malformed row at line \d+): .*", r"\1", str(exc), flags=re.DOTALL)
     return [(getattr(series, f).dtype.str, getattr(series, f).tobytes())
             for f in ("timestamps", "opens", "highs", "lows", "closes")]
 
 
 class TestLoadCsvReaders:
-    """The column-wise parse and the row loop must agree on every file."""
+    """load_csv must agree with the csv row loop of `oracles.load_csv_rows` on every file."""
 
     @settings(max_examples=150)
     @given(series=candle_series(), data=st.data())
@@ -274,19 +310,7 @@ class TestLoadCsvReaders:
                 rows[i : i + 1] = edit_line(rows[i], edit, data.draw)
             eol = data.draw(st.sampled_from(["\r\n", "\n"]))
             path.write_bytes(eol.join([header, *rows, ""]).encode())
-            both = load_outcome(path)
-            with mock.patch.object(market_data, "_parse_columns", lambda fh, cols: None):
-                assert both == load_outcome(path)
-
-    def test_saved_file_skips_the_row_loop(self, rng, tmp_path):
-        series = random_walk_series(rng, 2000)
-        save_csv(series, tmp_path / "walk.csv")
-
-        def fail(*args):
-            raise AssertionError("the row loop ran")
-
-        with mock.patch.object(market_data, "_parse_rows", fail):
-            assert_same_series(load_csv(tmp_path / "walk.csv", "RND"), series)
+            assert load_outcome(load_csv, path) == load_outcome(load_csv_rows, path)
 
 
 class TestSyntheticSeries:
@@ -380,6 +404,13 @@ class TestCandleSeriesChecks:
         ones = np.ones(3)
         with pytest.raises(DataError, match=match):
             CandleSeries("X", 1e-4, np.array(ts, dtype=np.int64), ones, ones * 1.2, ones * low, ones * 1.1)
+
+    def test_first_bad_bar_is_named(self):
+        # an OHLC violation at ts=100 comes before the NaN at ts=200, as a file's first bad line does
+        prices = np.array([1.0, 1.1, 1.2])
+        closes = np.array([1.5, np.nan, 1.2])
+        with pytest.raises(DataError, match=r"^OHLC invariant violated at ts=100 \(o=1.0 h=1.0 l=1.0 c=1.5\)$"):
+            CandleSeries("X", 1e-4, np.array([100, 200, 300]), prices, prices, prices, closes)
 
     def test_make_series_prefixes_source(self):
         with pytest.raises(DataError, match="^feed.csv: OHLC invariant violated at ts=100"):
