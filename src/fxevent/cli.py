@@ -87,7 +87,7 @@ def cmd_dataset(args):
         return 1
     ds = ds_mod.Dataset(tuple(samples), args.timesteps, "train", feature_names=feats.columns)
     ds_mod.save_dataset(ds, args.out)
-    print(f"wrote {len(ds)} samples ({skipped} skipped) to {args.out}_windows.csv / _targets.csv")
+    print(f"wrote {len(ds)} samples ({skipped} skipped) to {args.out}_windows.npy / {args.out}_targets.csv")
     return 0
 
 
@@ -123,7 +123,7 @@ def cmd_evaluate(args):
     stats = ds_mod.load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
     if (ds.n_timesteps, ds.n_features) != (model.config.n_timesteps, model.config.input_dim):
-        raise ConfigError(f"{args.dataset}_windows.csv holds windows of {ds.n_timesteps} timesteps x {ds.n_features} "
+        raise ConfigError(f"{args.dataset}_windows.npy holds windows of {ds.n_timesteps} timesteps x {ds.n_features} "
                           f"features, but {args.model} expects {model.config.n_timesteps} x {model.config.input_dim}")
     try:  # both checks run before apply_norm divides by the stats
         stats.check_width(ds.n_features)

@@ -1,14 +1,14 @@
-"""CSV reading and writing shared by the candle, feature, dataset and predictions files.
+"""CSV reading and writing shared by the candle, feature, targets and predictions files.
 
-Every CSV body the program reads goes through `read_rows`, its one `np.loadtxt`
-call: comma separated, `"` quotes read, empty lines skipped, no comment lines.
+Every CSV body the program reads (the candles and a dataset's targets) goes
+through `read_rows`, its one `np.loadtxt` call: comma separated, `"` quotes
+read, empty lines skipped, no comment lines.
 
 Rows come out byte for byte as the default `csv.writer` dialect writes them:
 fields joined by commas, each line ending in CRLF, floats as their shortest
-round-trip `repr`. Callers write the header through `csv.writer` (it quotes
-odd column names) and the numeric body as text blocks, one per sample or
-chunk of rows, which keeps the per-cell cost out of the csv module without
-holding a whole file in memory.
+round-trip `repr`. Headers of column names go through `csv.writer` (it quotes
+odd names), and numeric bodies are written as text blocks of rows, which keeps
+the per-cell cost out of the csv module without holding a whole file in memory.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class RowError(ValueError):
 # np.loadtxt names a data row, counted from 0 in a conversion error and from 1
 # in the column-count errors below (whose advice to use `usecols` is dropped)
 _AT_ROW = re.compile(r"(.*) at row (\d+)(?:; use .*)?(.*)", re.DOTALL)
-_ROWS_FROM_1 = ("the number of columns changed", "invalid column index", "the dtype passed requires")
+_ROWS_FROM_1 = ("invalid column index", "the dtype passed requires")
 
 
 def read_rows(path, fh, header_line: int, dtype, **loadtxt_args) -> np.ndarray:

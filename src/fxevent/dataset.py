@@ -8,7 +8,6 @@ never imputed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import warnings
@@ -48,11 +47,10 @@ class Dataset:
     def __post_init__(self):
         if not self.samples:
             raise ConfigError("a dataset needs at least one sample")
-        for s in self.samples:
-            if s.window.shape[0] != self.n_timesteps:
-                raise ConfigError(
-                    f"sample window has {s.window.shape[0]} rows, dataset expects {self.n_timesteps}"
-                )
+        shape = (self.n_timesteps, self.n_features)
+        for s in self.samples:  # save_dataset writes the windows' bytes back to back
+            if s.window.shape != shape:
+                raise ConfigError(f"sample window has shape {s.window.shape}, dataset expects {shape}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -222,18 +220,26 @@ def invert_target(y_norm, stats: NormStats):
 
 
 def save_dataset(ds: Dataset, prefix) -> None:
-    """Write `<prefix>_windows.csv` and `<prefix>_targets.csv`.
+    """Write `<prefix>_windows.npy` and `<prefix>_targets.csv`, one sample at a time.
 
-    Windows are flattened row-major with header `sample_id,timestep,<feature names>`;
-    targets carry `sample_id,e2_ts,e3_ts,target`. Values round-trip float64 exactly.
+    The windows file is a `.npy` (format 1.0) array of (samples, timesteps)
+    records, one little-endian float64 field per feature, named by the feature
+    names (f0, f1, ... if none): `np.load(path).view("<f8").reshape(N, T, D)`
+    gives the windows bitwise. Targets carry `sample_id,e2_ts,e3_ts,target`.
+    Names that are empty, repeated or not latin-1 raise ConfigError first.
     """
-    names = list(ds.feature_names) if ds.feature_names else [f"f{j}" for j in range(ds.n_features)]
-    with open(f"{prefix}_windows.csv", "w", newline="") as fh:
-        csv.writer(fh).writerow(["sample_id", "timestep", *names])
-        for sid, s in enumerate(ds.samples):
-            fh.write(format_rows((f"{sid},{t}" for t in range(ds.n_timesteps)), s.window))
+    names = ds.feature_names or tuple(f"f{j}" for j in range(ds.n_features))
+    if not 0 < len(names) == ds.n_features:
+        raise ConfigError(f"a dataset needs one name per feature: {len(names)} names for {ds.n_features} features")
+    for i, name in enumerate(names):
+        if not name or name in names[:i] or max(map(ord, name)) > 255:  # a 1.0 header is latin-1
+            raise ConfigError(f"feature name {name!r} is empty, repeated or not latin-1 text")
+    header = {"descr": [(name, "<f8") for name in names], "fortran_order": False, "shape": (len(ds), ds.n_timesteps)}
+    with open(f"{prefix}_windows.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.writelines(np.ascontiguousarray(s.window, "<f8") for s in ds.samples)
     with open(f"{prefix}_targets.csv", "w", newline="") as fh:
-        csv.writer(fh).writerow(["sample_id", "e2_ts", "e3_ts", "target"])
+        fh.write("sample_id,e2_ts,e3_ts,target\r\n")
         keys = (f"{sid},{s.e2_ts},{s.e3_ts}" for sid, s in enumerate(ds.samples))
         fh.write(format_rows(keys, np.reshape([s.target for s in ds.samples], (-1, 1))))
 
@@ -242,47 +248,37 @@ _TARGET_ROW = np.dtype([("sample_id", np.int64), ("e2_ts", np.int64), ("e3_ts", 
 
 
 def load_dataset(prefix, role: str = "train") -> Dataset:
-    """Read the CSV pair written by save_dataset, in the layout it writes.
+    """Read the pair save_dataset writes; the first fault raises ConfigError naming the file.
 
-    Windows rows hold samples 0..N-1 in order, each sample's timesteps 0..T-1 in
-    order, where T is the row count of sample 0; the targets file holds one row
-    per sample in the same order. Every row needs the same number of fields and
-    every value must be finite. Both bodies go through `csvio.read_rows`: empty
-    lines are skipped, `"` quotes are read, and a `#` line is a malformed row
-    like any other. The first fault in a file raises ConfigError naming the
-    file, its line and what that line should hold. Source-series bar indices
-    are not part of the wire format, so reloaded samples carry e2_index = -1.
+    The windows file must hold a non-empty (samples, timesteps) array of packed
+    little-endian float64 records, all finite, read in one call: each window is
+    a read-only view of that block, and the field names are the feature names.
+    The targets body goes through `csvio.read_rows` (empty lines skipped, `"`
+    quotes read), one row per sample in order, and its errors name the line.
+    Reloaded samples carry e2_index = -1: bar indices are not wire format.
     """
-    windows_path = f"{prefix}_windows.csv"
-    with open(windows_path) as fh:
-        feature_names = tuple(next(csv.reader([fh.readline()]), [])[2:])
-        try:
-            rows = read_rows(windows_path, fh, 1, np.float64, ndmin=2)
-        except RowError as exc:
-            raise ConfigError(f"{windows_path}: {exc}") from None
-    if rows.shape[1] < 2:  # an empty body parses to shape (0, 1)
-        raise ConfigError(f"{windows_path} holds no samples")
-    nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if nonfinite.size:
-        i = nonfinite[0]
-        raise ConfigError(
-            f"{windows_path}: non-finite value in sample {rows[i, 0]:.17g} at timestep {rows[i, 1]:.17g}"
-        )
-    n_steps = int(np.argmax(rows[:, 0] != 0)) or len(rows)  # T, the leading rows of sample 0
-    sample, step = np.divmod(np.arange(len(rows) + 1), n_steps)  # each row's place, and one past the end
-    misplaced = np.flatnonzero((rows[:, 0] != sample[:-1]) | (rows[:, 1] != step[:-1]))
-    if misplaced.size or step[-1]:  # a row out of place, or a last sample cut short
-        i = misplaced[0] if misplaced.size else len(rows)
-        found = f"holds sample {rows[i, 0]:.15g} timestep {rows[i, 1]:.15g}" if i < len(rows) else "is missing"
-        line = line_of_row(windows_path, 1, i)
-        raise ConfigError(f"{windows_path}: line {line} {found}, expected sample {sample[i]} timestep {step[i]}")
-    windows = rows[:, 2:].reshape(len(rows) // n_steps, n_steps, rows.shape[1] - 2)
+    windows_path = f"{prefix}_windows.npy"
+    with open(windows_path, "rb") as fh:
+        try:  # the largest header a 1.0 file can hold, so that whatever save_dataset writes reads back
+            records = np.lib.format.read_array(fh, allow_pickle=False, max_header_size=2**16)
+        except ValueError as exc:
+            raise ConfigError(f"{windows_path}: not a windows file ({exc})") from None
+    names = records.dtype.names
+    if records.ndim != 2 or not records.size or not names or records.dtype != np.dtype([(n, "<f8") for n in names]):
+        raise ConfigError(f"{windows_path}: holds an array of shape {records.shape} and dtype {records.dtype}, "
+                          "expected (samples, timesteps) records of little-endian float64 features")
+    windows = np.ascontiguousarray(records).view("<f8").reshape(*records.shape, len(names))
+    if not (np.isfinite(windows.min()) and np.isfinite(windows.max())):  # no block-sized mask unless one is bad
+        i, t, j = np.argwhere(~np.isfinite(windows))[0]
+        raise ConfigError(f"{windows_path}: non-finite value in sample {i} at timestep {t}, feature {names[j]}")
 
     targets_path = f"{prefix}_targets.csv"
     with open(targets_path) as fh:
-        fh.readline()
         try:
+            fh.readline()
             meta = read_rows(targets_path, fh, 1, _TARGET_ROW, ndmin=1)
+        except UnicodeDecodeError as exc:  # in the header: read_rows reports its own
+            raise ConfigError(f"{targets_path}: not UTF-8 text ({exc})") from None
         except RowError as exc:
             raise ConfigError(f"{targets_path}: {exc}") from None
     ids = np.arange(len(meta))
@@ -297,4 +293,4 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     if len(meta) < len(windows):
         raise ConfigError(f"{targets_path}: no row for sample {len(meta)}")
     samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (_, e2_ts, e3_ts, target) in zip(windows, meta.tolist()))
-    return Dataset(samples, n_steps, role, feature_names=feature_names)
+    return Dataset(samples, windows.shape[1], role, feature_names=names)

@@ -136,12 +136,15 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
     if not path.exists():
         raise DataError(f"candle CSV not found: {path}")
     with open(path, newline="") as fh:
-        for header_line, text in enumerate(iter(fh.readline, ""), start=1):  # the first non-blank line
-            header = next(csv.reader([text]), [])
-            if header:
-                break
-        else:
-            raise DataError(f"{path}: empty file")
+        try:
+            for header_line, text in enumerate(iter(fh.readline, ""), start=1):  # the first non-blank line
+                header = next(csv.reader([text]), [])
+                if header:
+                    break
+            else:
+                raise DataError(f"{path}: empty file")
+        except UnicodeDecodeError as exc:  # in the first block the file object decodes
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
         missing = [col for col in _CANDLE_COLUMNS if col not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import pickle
 import re
 from pathlib import Path
 
@@ -197,6 +198,11 @@ class TestNormalizer:
         assert mape(raw_true, recovered) == pytest.approx(mape(raw_true, raw_pred), rel=1e-12)
 
 
+def records_of(windows, names):
+    """The (N, T) records of the windows file: one little-endian float64 field per feature."""
+    return np.ascontiguousarray(windows, "<f8").view(np.dtype([(n, "<f8") for n in names]))[..., 0]
+
+
 class TestSerialization:
     def test_round_trip(self, rng, tmp_path, synth, ):
         fm = feature_matrix(synth)
@@ -219,13 +225,18 @@ class TestSerialization:
 
     def test_header_carries_feature_names(self, rng, tmp_path):
         ds = tiny_dataset(rng)
-        ds = Dataset(ds.samples, ds.n_timesteps, ds.role, feature_names=("a", "b", "c"))
+        names = ("a,b", 'q"x', "\xe9t\xe9")  # a comma, a quote and latin-1 letters
+        ds = Dataset(ds.samples, ds.n_timesteps, ds.role, feature_names=names)
         save_dataset(ds, tmp_path / "x")
-        header = (tmp_path / "x_windows.csv").read_text().splitlines()[0]
-        assert header == "sample_id,timestep,a,b,c"
+        records = np.load(tmp_path / "x_windows.npy")
+        assert records.dtype.names == names and records.shape == (6, 4)
+        assert records.view("<f8").reshape(6, 4, 3).tobytes() == ds.windows().tobytes()
         targets_header = (tmp_path / "x_targets.csv").read_text().splitlines()[0]
         assert targets_header == "sample_id,e2_ts,e3_ts,target"
 
+    def test_default_feature_names(self, rng, tmp_path):
+        save_dataset(tiny_dataset(rng), tmp_path / "d")
+        assert load_dataset(tmp_path / "d").feature_names == ("f0", "f1", "f2")
 
     def test_golden_bytes(self, tmp_path):
         ds = Dataset(
@@ -238,13 +249,12 @@ class TestSerialization:
             feature_names=("a", "b"),
         )
         save_dataset(ds, tmp_path / "g")
-        assert (tmp_path / "g_windows.csv").read_bytes() == (
-            b"sample_id,timestep,a,b\r\n"
-            b"0,0,0.1,-2.5e-300\r\n"
-            b"0,1,1e+16,3.0\r\n"
-            b"1,0,-0.0,123.456\r\n"
-            b"1,1,7.0,0.3333333333333333\r\n"
-        )
+        header = b"{'descr': [('a', '<f8'), ('b', '<f8')], 'fortran_order': False, 'shape': (2, 2), }"
+        header += b" " * (128 - 10 - 1 - len(header)) + b"\n"  # the 8 values start at byte 128, a multiple of 64
+        written = (tmp_path / "g_windows.npy").read_bytes()
+        assert written == b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + ds.windows().tobytes()
+        np.save(tmp_path / "s.npy", records_of(ds.windows(), ("a", "b")))
+        assert written == (tmp_path / "s.npy").read_bytes()
         assert (tmp_path / "g_targets.csv").read_bytes() == (
             b"sample_id,e2_ts,e3_ts,target\r\n"
             b"0,1000,2000,1.1\r\n"
@@ -254,19 +264,58 @@ class TestSerialization:
     @settings(max_examples=40)
     @given(
         windows=st.integers(1, 4).flatmap(
-            lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(0, 3)),
+            lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(1, 3)),
                              elements=st.floats(allow_nan=False, allow_infinity=False))
         ),
         targets=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        # commas, quotes, backslashes, control and latin-1 letters, all of which the header must carry
+        names=st.lists(st.text(st.characters(max_codepoint=255), min_size=1),
+                       min_size=3, max_size=3, unique=True),
     )
-    def test_round_trip_is_bitwise(self, tmp_path_factory, windows, targets):
+    def test_round_trip_is_bitwise(self, tmp_path_factory, windows, targets, names):
+        names = tuple(names[: windows.shape[2]])
         samples = tuple(Sample(w, targets[i], -1, i, 2 * i) for i, w in enumerate(windows))
         prefix = tmp_path_factory.mktemp("rt") / "ds"
-        save_dataset(Dataset(samples, windows.shape[1], "train"), prefix)
+        save_dataset(Dataset(samples, windows.shape[1], "train", feature_names=names), prefix)
         back = load_dataset(prefix)
         assert back.windows().tobytes() == windows.tobytes()
         assert back.targets().tobytes() == np.array(targets[: len(windows)]).tobytes()
         assert [(s.e2_ts, s.e3_ts) for s in back.samples] == [(i, 2 * i) for i in range(len(windows))]
+        assert back.feature_names == names
+
+    def test_loaded_windows_are_read_only_views_of_one_block(self, rng, tmp_path):
+        save_dataset(tiny_dataset(rng), tmp_path / "v")
+        back = load_dataset(tmp_path / "v")
+        block = back.samples[0].window.base  # the array np.fromfile read
+        assert block.nbytes == 6 * 4 * 3 * 8
+        for s in back.samples:
+            assert s.window.base is block
+            assert not s.window.flags.writeable
+
+    def test_dataset_command_twice_writes_identical_files(self, tmp_path, capsys):
+        series_csv = tmp_path / "series.csv"
+        assert main(["synth", "--seed", "7", "--n", "3000", "--out", str(series_csv)]) == 0
+        for out in ("a", "b"):
+            assert main(["dataset", "--csv", str(series_csv), "--timesteps", "20", "--out", str(tmp_path / out)]) == 0
+        for name in ("windows.npy", "targets.csv"):
+            assert (tmp_path / f"a_{name}").read_bytes() == (tmp_path / f"b_{name}").read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "names, error",
+        [
+            (("a", "", "c"), "feature name '' is empty, repeated or not latin-1 text"),
+            (("a", "b", "a"), "feature name 'a' is empty, repeated or not latin-1 text"),
+            (("a", "b", "€"), "feature name '€' is empty, repeated or not latin-1 text"),
+            (("a", "b"), "a dataset needs one name per feature: 2 names for 3 features"),
+        ],
+        ids=["empty", "repeated", "not_latin1", "count"],
+    )
+    def test_bad_feature_names_rejected_before_any_file(self, rng, tmp_path, names, error):
+        ds = tiny_dataset(rng)
+        ds = Dataset(ds.samples, ds.n_timesteps, ds.role, feature_names=names)
+        with pytest.raises(ConfigError, match=re.escape(error) + "$"):
+            save_dataset(ds, tmp_path / "n")
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=60)
     @given(
@@ -293,25 +342,20 @@ class TestSerialization:
             load_dataset(tmp_path / "m")
 
     def test_shuffled_rows_rejected(self, rng, tmp_path):
-        # save_dataset writes samples and timesteps in order; no other order is read
+        # save_dataset writes the targets in sample order; no other order is read
         save_dataset(tiny_dataset(rng, n_samples=5), tmp_path / "s")
-        path = tmp_path / "s_windows.csv"
+        path = tmp_path / "s_targets.csv"
         header, *body = path.read_text().splitlines(keepends=True)
-        body[5], body[9] = body[9], body[5]  # sample 1 timestep 1 and sample 2 timestep 1
+        body[1], body[2] = body[2], body[1]
         path.write_text(header + "".join(body))
-        with pytest.raises(ConfigError, match=re.escape(
-            f"{path}: line 7 holds sample 2 timestep 1, expected sample 1 timestep 1"
-        )):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3 holds sample 2, expected sample 1")):
             load_dataset(tmp_path / "s")
 
     def test_sample_ids_from_one_rejected(self, rng, tmp_path):
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "o")
-        for name in ("windows", "targets"):
-            path = tmp_path / f"o_{name}.csv"
-            path.write_text(re.sub(r"(?m)^(\d+),", lambda m: f"{int(m[1]) + 1},", path.read_text()))
-        with pytest.raises(ConfigError, match=re.escape(
-            f"{tmp_path / 'o_windows.csv'}: line 2 holds sample 1 timestep 0, expected sample 0 timestep 0"
-        )):
+        path = tmp_path / "o_targets.csv"
+        path.write_text(re.sub(r"(?m)^(\d+),", lambda m: f"{int(m[1]) + 1},", path.read_text()))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2 holds sample 1, expected sample 0")):
             load_dataset(tmp_path / "o")
 
     def test_extra_target_row_names_file_and_line(self, rng, tmp_path):
@@ -323,7 +367,7 @@ class TestSerialization:
         ) + "$"):
             load_dataset(tmp_path / "e")
 
-    @pytest.mark.parametrize("name, line, value", [("windows", 3, "nan"), ("targets", 2, "inf")])
+    @pytest.mark.parametrize("name, line, value", [("targets", 2, "inf")])
     def test_non_finite_value_names_file(self, rng, tmp_path, name, line, value):
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "n")
         path = tmp_path / f"n_{name}.csv"
@@ -331,6 +375,18 @@ class TestSerialization:
         lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
         path.write_text("".join(lines))
         with pytest.raises(ConfigError, match=f"n_{name}.csv: non-finite"):
+            load_dataset(tmp_path / "n")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_names_sample_timestep_feature(self, rng, tmp_path, value):
+        ds = tiny_dataset(rng, n_samples=3)
+        windows = ds.windows()
+        windows[1, 2, 1] = value
+        windows[2, 0, 0] = np.nan  # a later one is not the one reported
+        save_dataset(Dataset(tuple(Sample(w, 1.0, -1, 0, 0) for w in windows), 4, "train",
+                             feature_names=("a", "b", "c")), tmp_path / "n")
+        message = f"{tmp_path / 'n_windows.npy'}: non-finite value in sample 1 at timestep 2, feature b"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             load_dataset(tmp_path / "n")
 
     @pytest.mark.parametrize(
@@ -360,87 +416,92 @@ class TestSerialization:
 
     @pytest.mark.parametrize("cut", ["row", "field", "last"])
     def test_ragged_windows_name_file(self, rng, tmp_path, cut):
+        # the edits the text format once rejected by line, made to the binary file, which can only come up short
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "r")
-        path = tmp_path / "r_windows.csv"
-        lines = path.read_text().splitlines(keepends=True)
+        path = tmp_path / "r_windows.npy"
+        data = path.read_bytes()
+        start = len(data) - 3 * 4 * 3 * 8  # the first value
+        row = start + (4 + 1) * 3 * 8  # sample 1 timestep 1
         if cut == "row":
-            del lines[5]  # sample 1 loses one of its four timesteps
-            message = re.escape(f"{path}: line 6 holds sample 1 timestep 1, expected sample 1 timestep 0")
+            data = data[:row] + data[row + 3 * 8 :]  # sample 1 loses one of its four timesteps
         elif cut == "field":
-            lines[5] = lines[5].rsplit(",", 1)[0] + "\n"
-            message = re.escape(f"{path}: malformed row at line 6: the number of columns changed from 5 to 4")
+            data = data[:row] + data[row + 8 :]  # sample 1 timestep 1 loses a value
         else:
-            del lines[-1]  # the last sample loses its last timestep
-            message = re.escape(f"{path}: line 13 is missing, expected sample 2 timestep 3")
-        path.write_text("".join(lines))
-        with pytest.raises(ConfigError, match=message):
+            data = data[: -3 * 8]  # the last sample loses its last timestep
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not a windows file (") + ".*could only read 11 "):
             load_dataset(tmp_path / "r")
 
     def test_windows_without_timestep_column_rejected(self, rng, tmp_path, capsys):
+        # one record per sample: the file has no timestep axis
         save_dataset(tiny_dataset(rng, n_samples=1), tmp_path / "k")
-        path = tmp_path / "k_windows.csv"
-        path.write_text("sample_id\r\n0\r\n0\r\n")
+        path = tmp_path / "k_windows.npy"
+        with open(path, "wb") as fh:
+            np.save(fh, records_of(np.zeros((3, 2)), ("a", "b")))
         assert main(["train", "--dataset", str(tmp_path / "k"), "--out", str(tmp_path / "m.txt")]) == 2
-        assert capsys.readouterr().err == f"error: {path} holds no samples\n"
+        assert capsys.readouterr().err == (
+            f"error: {path}: holds an array of shape (3,) and dtype [('a', '<f8'), ('b', '<f8')], "
+            "expected (samples, timesteps) records of little-endian float64 features\n"
+        )
 
     @pytest.mark.parametrize(
-        "line, column, value, fault, error",
+        "write, found",
         [
-            (2, 0, "0.7", "sample_id or timestep not a 64-bit integer in row [0.7, 0.0]",
-             "holds sample 0.7 timestep 0, expected sample 0 timestep 0"),
-            (3, 1, "1.5", "sample_id or timestep not a 64-bit integer in row [0.0, 1.5]",
-             "holds sample 0 timestep 1.5, expected sample 0 timestep 1"),
-            (2, 0, "1e300", "sample_id or timestep not a 64-bit integer in row [1e+300, 0.0]",
-             "holds sample 1e+300 timestep 0, expected sample 0 timestep 0"),
-            (3, 1, "0", "sample 0 does not hold timesteps 0..3 once each",  # repeated
-             "holds sample 0 timestep 0, expected sample 0 timestep 1"),
-            (6, 1, "-1", "sample 1 does not hold timesteps 0..3 once each",  # negative
-             "holds sample 1 timestep -1, expected sample 1 timestep 0"),
+            (lambda fh: fh.write(b"sample_id,timestep,a\r\n0,0,1.0\r\n"),
+             "not a windows file (the magic string is not correct; expected b'\\x93NUMPY', got b'sample')"),
+            (lambda fh: fh.write(b""), "not a windows file (EOF: reading magic string, expected 8 bytes got 0)"),
+            (lambda fh: fh.write(b"\x93NUMPY\x01\x00\x76\x00{'descr': "),
+             "not a windows file (EOF: reading array header, expected 118 bytes got 10)"),
+            (lambda fh: np.save(fh, np.array([[1.0, None]], dtype=object)),
+             "not a windows file (Object arrays cannot be loaded when allow_pickle=False)"),
+            (lambda fh: pickle.dump(np.zeros((2, 2)), fh), "not a windows file (the magic string is not correct"),
+            (lambda fh: np.save(fh, np.zeros((2, 3, 2))), "holds an array of shape (2, 3, 2) and dtype float64, "),
+            (lambda fh: np.save(fh, records_of(np.zeros((2, 3, 2)), "ab").astype([("a", ">f8"), ("b", ">f8")])),
+             "holds an array of shape (2, 3) and dtype [('a', '>f8'), ('b', '>f8')], "),
+            (lambda fh: np.save(fh, np.zeros((2, 3), [("a", "<f8"), ("b", "<i8")])),
+             "holds an array of shape (2, 3) and dtype [('a', '<f8'), ('b', '<i8')], "),
+            (lambda fh: np.save(fh, np.zeros((2, 3), np.dtype({"names": ["a"], "formats": ["<f8"], "itemsize": 16}))),
+             "holds an array of shape (2, 3) and dtype {'names': ['a'], 'formats': ['<f8'], 'offsets': [0], "
+             "'itemsize': 16}, "),
+            (lambda fh: np.save(fh, records_of(np.zeros((2, 3, 2, 2)), "ab")),
+             "holds an array of shape (2, 3, 2) and dtype [('a', '<f8'), ('b', '<f8')], "),
+            (lambda fh: np.save(fh, records_of(np.zeros((0, 3, 2)), "ab")),
+             "holds an array of shape (0, 3) and dtype [('a', '<f8'), ('b', '<f8')], "),
+            (lambda fh: np.save(fh, records_of(np.zeros((2, 0, 2)), "ab")),
+             "holds an array of shape (2, 0) and dtype [('a', '<f8'), ('b', '<f8')], "),
         ],
+        ids=["csv_text", "empty", "short_header", "object", "pickle", "plain_float64", "big_endian", "int_field",
+             "padded", "3d", "no_samples", "no_timesteps"],
     )
-    def test_misnumbered_windows_name_file(self, rng, tmp_path, line, column, value, fault, error):
-        # `fault` says what the edit breaks; `error` is what the message says of the edited line
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "w")
-        path = tmp_path / "w_windows.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[line - 1].split(",")
-        cells[column] = value
-        lines[line - 1] = ",".join(cells)
-        path.write_text("".join(lines))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: line {line} {error}")):
-            load_dataset(tmp_path / "w")
+    def test_invalid_windows_file_names_file(self, rng, tmp_path, capsys, write, found):
+        save_dataset(tiny_dataset(rng, n_samples=2), tmp_path / "i")
+        path = tmp_path / "i_windows.npy"
+        with open(path, "wb") as fh:
+            write(fh)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {found}")):
+            load_dataset(tmp_path / "i")
+        assert main(["train", "--dataset", str(tmp_path / "i"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {found}")
 
-    @pytest.mark.parametrize(
-        "blank_after, line, edit, error",
-        [
-            (2, 5, lambda cells: [cells[0], "7", *cells[2:]],
-             "line 5 holds sample 0 timestep 7, expected sample 0 timestep 2"),
-            (None, 6, lambda cells: cells[:-1], "malformed row at line 6: the number of columns changed from 5 to 4"),
-            (2, 7, lambda cells: cells[:-1], "malformed row at line 7: the number of columns changed from 5 to 4"),
-            (2, 5, lambda cells: [*cells[:2], "abc", *cells[3:]],
-             "malformed row at line 5: could not convert string 'abc' to float64, column 3."),
-            (2, 4, lambda cells: ["#" + cells[0], *cells[1:]],
-             "malformed row at line 4: could not convert string '#0' to float64, column 1."),
-        ],
-        ids=["misplaced", "short", "short_after_blank", "not_a_number", "comment"],
-    )
-    def test_windows_error_names_file_line(self, rng, tmp_path, blank_after, line, edit, error):
-        # np.loadtxt skips the blank line, and numbers the rows it reads from 0 or 1
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "b")
-        path = tmp_path / "b_windows.csv"
-        lines = path.read_text().splitlines()
-        if blank_after:
-            lines.insert(blank_after, "")
-        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
-        path.write_text("\r\n".join([*lines, ""]))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}") + "$"):
-            load_dataset(tmp_path / "b")
+    def test_fortran_order_file_reads_the_same(self, rng, tmp_path):
+        ds = tiny_dataset(rng, n_samples=3)
+        save_dataset(ds, tmp_path / "f")
+        with open(tmp_path / "f_windows.npy", "wb") as fh:
+            np.save(fh, np.asfortranarray(records_of(ds.windows(), ("f0", "f1", "f2"))))
+        assert load_dataset(tmp_path / "f").windows().tobytes() == ds.windows().tobytes()
 
+    def test_missing_windows_file_not_found(self, rng, tmp_path, capsys):
+        save_dataset(tiny_dataset(rng, n_samples=2), tmp_path / "w")
+        (tmp_path / "w_windows.npy").unlink()
+        assert main(["train", "--dataset", str(tmp_path / "w"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'w_windows.npy'}'\n"
+        )
 
     @settings(max_examples=40)
     @given(
         windows=st.integers(1, 4).flatmap(
-            lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(0, 3)),
+            lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(1, 3)),
                              elements=st.floats(allow_nan=False, allow_infinity=False))
         ),
         eol=st.sampled_from(["\n", "\r\n"]),
@@ -450,38 +511,32 @@ class TestSerialization:
         samples = tuple(Sample(w, float(i) / 3, -1, i, 2 * i) for i, w in enumerate(windows))
         prefix = tmp_path_factory.mktemp("bl") / "ds"
         save_dataset(Dataset(samples, windows.shape[1], "train"), prefix)
-        for name in ("windows", "targets"):
-            path = Path(f"{prefix}_{name}.csv")
-            header, *rows = path.read_text().splitlines()
-            blanks = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
-            for i in sorted(blanks, reverse=True):
-                rows.insert(i, "")
-            path.write_bytes(eol.join([header, *rows, ""]).encode())
+        path = Path(f"{prefix}_targets.csv")
+        header, *rows = path.read_text().splitlines()
+        blanks = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
+        for i in sorted(blanks, reverse=True):
+            rows.insert(i, "")
+        path.write_bytes(eol.join([header, *rows, ""]).encode())
         back = load_dataset(prefix)
         assert back.windows().tobytes() == windows.tobytes()
         assert back.targets().tobytes() == np.array([float(i) / 3 for i in range(len(windows))]).tobytes()
         assert [(s.e2_ts, s.e3_ts) for s in back.samples] == [(i, 2 * i) for i in range(len(windows))]
 
-    # each numpy message form a reader can meet, with a blank line before the
-    # bad row: numpy counts a conversion error's row from 0 and the others' from 1
-    @pytest.mark.parametrize(
-        "at, edit, reason",
-        [
-            (1, lambda cells: [*cells[:3], "abc", *cells[4:]], "could not convert string 'abc' to float64, column 4."),
-            (0, lambda cells: [*cells[:3], "abc", *cells[4:]], "could not convert string 'abc' to float64, column 4."),
-            (1, lambda cells: cells[:-1], "the number of columns changed from 5 to 4"),
-            (1, lambda cells: [*cells, "1.0"], "the number of columns changed from 5 to 6"),
-        ],
-        ids=["convert", "convert_first", "short", "long"],
-    )
-    def test_windows_numpy_message_forms_name_the_line(self, rng, tmp_path, at, edit, reason):
-        save_dataset(tiny_dataset(rng, n_samples=2), tmp_path / "f")
-        path = tmp_path / "f_windows.csv"
-        lines = path.read_text().splitlines()
-        lines[1 + at : 2 + at] = ["", ",".join(edit(lines[1 + at].split(",")))]
-        path.write_text("\n".join([*lines, ""]))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: malformed row at line {at + 3}: {reason}") + "$"):
-            load_dataset(tmp_path / "f")
+    @pytest.mark.parametrize("at, error", [
+        (40, "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 40: invalid start byte)"),
+        (9000, "'utf-8' codec can't decode byte 0xff in position "),  # past the first block: read_rows words it
+    ], ids=["header_block", "past_first_block"])
+    def test_non_utf8_targets_name_file(self, rng, tmp_path, capsys, at, error):
+        save_dataset(tiny_dataset(rng, n_samples=400), tmp_path / "u")
+        path = tmp_path / "u_targets.csv"
+        data = bytearray(path.read_bytes())
+        assert len(data) > at and data[at] in b"0123456789"
+        data[at] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}")):
+            load_dataset(tmp_path / "u")
+        assert main(["train", "--dataset", str(tmp_path / "u"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {error}")
 
     @pytest.mark.parametrize(
         "at, row, reason",
@@ -515,3 +570,9 @@ class TestDatasetInvariants:
         s = Sample(np.zeros((3, 2)), 1.0, 0, 0, 1)
         with pytest.raises(ConfigError):
             Dataset((s,), 4, "train")
+
+    def test_mismatched_feature_count_rejected(self, rng):
+        # the windows file holds the windows' bytes back to back, so every window needs the same width
+        samples = (Sample(np.zeros((3, 2)), 1.0, 0, 0, 1), Sample(np.zeros((3, 1)), 1.0, 1, 1, 2))
+        with pytest.raises(ConfigError, match=re.escape("sample window has shape (3, 1), dataset expects (3, 2)")):
+            Dataset(samples, 3, "train")

@@ -554,13 +554,16 @@ class TestCli:
         assert main(["synth", "--seed", "3", "--n", "1500", "--out", str(series_csv)]) == 0
         assert main(["features", "--csv", str(series_csv), "--out", str(tmp_path / "f.csv")]) == 0
         assert main(["events", "--csv", str(series_csv), "--out", str(tmp_path / "e.csv")]) == 0
+        capsys.readouterr()
         assert main([
             "dataset", "--csv", str(series_csv), "--timesteps", "20",
             "--out", str(tmp_path / "ds"),
         ]) == 0
         header = (tmp_path / "e.csv").read_text().splitlines()[0]
         assert header == "kind,index,timestamp,price,direction"
-        assert (tmp_path / "ds_windows.csv").exists()
+        assert re.fullmatch(rf"wrote \d+ samples \(\d+ skipped\) to {re.escape(str(tmp_path))}/ds_windows\.npy / "
+                            rf"{re.escape(str(tmp_path))}/ds_targets\.csv\n", capsys.readouterr().out)
+        assert (tmp_path / "ds_windows.npy").exists()
         assert (tmp_path / "ds_targets.csv").exists()
 
     def test_events_retracement_rows(self, tmp_path, capsys):
@@ -673,7 +676,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["evaluate", "--model", str(model_path), "--dataset", str(tmp_path / "ds12"),
                      "--out-dir", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err == (f"error: {tmp_path / 'ds12'}_windows.csv holds windows of 12 timesteps "
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'ds12'}_windows.npy holds windows of 12 timesteps "
                                            f"x 28 features, but {model_path} expects 10 x 28\n")
         assert not (tmp_path / "eval").exists()
 

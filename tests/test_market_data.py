@@ -115,6 +115,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path, "X")
 
+    @pytest.mark.parametrize("rows, error", [
+        (2, "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 66: invalid start byte)"),
+        (400, "'utf-8' codec can't decode byte 0xff in position "),  # past the first block: read_rows words it
+    ], ids=["header_block", "past_first_block"])
+    def test_non_utf8_byte_names_file(self, tmp_path, capsys, rows, error):
+        lines = [f"{100 * (i + 1)},1.0,1.2,0.9,1.1\n" for i in range(rows)]
+        data = ("timestamp,open,high,low,close\n" + "".join(lines)).encode()
+        at = data.rindex(b"1.1\n")  # the last close, in the last data row
+        path = tmp_path / "series.csv"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        with pytest.raises(DataError, match=re.escape(f"{path}: {error}")):
+            load_csv(path, "X")
+        assert main(["features", "--csv", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {error}")
+
     def test_duplicate_timestamp_rejected(self, tmp_path):
         path = write(
             tmp_path,

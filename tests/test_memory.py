@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fxevent.dataset import Dataset, Sample, build_samples, fit_normalizer
+from fxevent.dataset import Dataset, Sample, build_samples, fit_normalizer, load_dataset, save_dataset
 from fxevent.events import assemble_sequences, crossovers, zigzag
 from fxevent.indicators import adx, ema, feature_matrix, rsi
 from fxevent.market_data import load_csv, save_csv
@@ -84,12 +84,35 @@ def test_load_csv_peak_below_2x_its_arrays(walk20k, tmp_path):
         assert getattr(series, field).tobytes() == getattr(walk20k, field).tobytes(), field
 
 
-def test_build_samples_windows_are_read_only_views(walk20k, features20k):
+@pytest.fixture(scope="module")
+def samples20k(walk20k, features20k):
     pivots = zigzag(walk20k)
     crosses = crossovers(ema(walk20k.closes, 5), ema(walk20k.closes, 20))
     sequences, _ = assemble_sequences(pivots, crosses, walk20k)
     samples, _ = build_samples(features20k, sequences, 30, walk20k)
+    return samples
+
+
+def test_build_samples_windows_are_read_only_views(features20k, samples20k):
+    samples = samples20k
     assert samples
     for s in samples:
         assert np.shares_memory(s.window, features20k.values)
         assert not s.window.flags.writeable
+
+
+# on the walk (342 windows of 30 x 28): save 0.04x, load 1.07x; the text pair read 0.06x and 1.25x
+def test_save_dataset_streams_its_windows(features20k, samples20k, tmp_path):
+    ds = Dataset(tuple(samples20k), 30, "train", feature_names=features20k.columns)
+    block = ds.windows().nbytes
+    _, peak = traced_peak(save_dataset, ds, tmp_path / "ds")
+    assert peak < 0.1 * block, f"peak {peak / block:.3f}x the window block"
+
+
+def test_load_dataset_peak_below_1_2x_its_windows(features20k, samples20k, tmp_path):
+    ds = Dataset(tuple(samples20k), 30, "train", feature_names=features20k.columns)
+    save_dataset(ds, tmp_path / "ds")
+    block = ds.windows().nbytes
+    loaded, peak = traced_peak(load_dataset, tmp_path / "ds")
+    assert peak < 1.2 * block, f"peak {peak / block:.3f}x the window block"
+    assert loaded.windows().tobytes() == ds.windows().tobytes()
