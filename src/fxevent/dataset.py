@@ -251,8 +251,9 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     """Read the pair save_dataset writes; the first fault raises ConfigError naming the file.
 
     The windows file must hold a non-empty (samples, timesteps) array of packed
-    little-endian float64 records, all finite, read in one call: each window is
-    a read-only view of that block, and the field names are the feature names.
+    little-endian float64 records, all finite, and nothing past it, read in one
+    call: each window is a read-only view of that block, and the field names
+    are the feature names.
     The targets body goes through `csvio.read_rows` (empty lines skipped, `"`
     quotes read), one row per sample in order, and its errors name the line.
     Reloaded samples carry e2_index = -1: bar indices are not wire format.
@@ -263,6 +264,8 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
             records = np.lib.format.read_array(fh, allow_pickle=False, max_header_size=2**16)
         except ValueError as exc:
             raise ConfigError(f"{windows_path}: not a windows file ({exc})") from None
+        if fh.read(1):  # numpy ignores them, and a value written twice would shift every later one
+            raise ConfigError(f"{windows_path}: not a windows file (bytes past its {records.nbytes}-byte array)")
     names = records.dtype.names
     if records.ndim != 2 or not records.size or not names or records.dtype != np.dtype([(n, "<f8") for n in names]):
         raise ConfigError(f"{windows_path}: holds an array of shape {records.shape} and dtype {records.dtype}, "

@@ -367,14 +367,22 @@ class TestSerialization:
         ) + "$"):
             load_dataset(tmp_path / "e")
 
-    @pytest.mark.parametrize("name, line, value", [("targets", 2, "inf")])
+    @pytest.mark.parametrize("name, line, value", [("windows", 3, "nan"), ("targets", 2, "inf")])
     def test_non_finite_value_names_file(self, rng, tmp_path, name, line, value):
+        # `line` counts as the text files did: the windows file's line 3 held sample 0 timestep 1
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "n")
-        path = tmp_path / f"n_{name}.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ConfigError, match=f"n_{name}.csv: non-finite"):
+        if name == "windows":
+            path = tmp_path / "n_windows.npy"
+            records = np.load(path)
+            records.view("<f8").reshape(3, 4, 3)[0, line - 2, -1] = float(value)  # the row's last value
+            with open(path, "wb") as fh:
+                np.save(fh, records)
+        else:
+            path = tmp_path / f"n_{name}.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
+            path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: non-finite")):
             load_dataset(tmp_path / "n")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -431,6 +439,29 @@ class TestSerialization:
         path.write_bytes(data)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: not a windows file (") + ".*could only read 11 "):
             load_dataset(tmp_path / "r")
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda data, at: data[:at] + data[at + 8 :], "not a windows file (Failed to read all data for array. "
+             "Expected (3, 4) = 12 elements, could only read 11 elements. (file seems not fully written?))"),
+            (lambda data, at: data[:at] + data[at : at + 8] + data[at:],
+             "not a windows file (bytes past its 288-byte array)"),
+            (lambda data, at: data[:at] + np.float64(np.nan).tobytes() + data[at + 8 :],
+             "non-finite value in sample 1 at timestep 0, feature f2"),
+        ],
+        ids=["short", "long", "not_a_number"],
+    )
+    def test_windows_error_names_file_line(self, rng, tmp_path, edit, error):
+        # the text file's faults a binary file can still hold, made to the last value of sample 1 timestep 0:
+        # one value lost, one value written twice (every later value shifts), and a NaN in place of a number
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "b")
+        path = tmp_path / "b_windows.npy"
+        data = path.read_bytes()
+        at = len(data) - 3 * 4 * 3 * 8 + (4 * 3 + 2) * 8
+        path.write_bytes(edit(data, at))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}") + "$"):
+            load_dataset(tmp_path / "b")
 
     def test_windows_without_timestep_column_rejected(self, rng, tmp_path, capsys):
         # one record per sample: the file has no timestep axis
