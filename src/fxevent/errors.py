@@ -5,6 +5,3 @@ class DataError(ValueError):
 class ConfigError(ValueError):
     """Invalid parameter or configuration value."""
 
-
-class GradCheckError(RuntimeError):
-    """Non-finite value encountered while checking gradients; message names the parameter."""

@@ -1,8 +1,10 @@
 """Minimal float64 substrate for the recurrent models.
 
 Hand-rolled on purpose: every backward pass here is checked against central
-finite differences, so the numerics stay in 64-bit and nothing is delegated to
-an autodiff framework. numpy supplies the array arithmetic only.
+finite differences (criterion 1's checker is in tests/oracles.py), so the
+numerics stay in 64-bit and nothing is delegated to an autodiff framework.
+numpy supplies the array arithmetic only. This module holds only what a
+training step runs; the model file format lives in models.py.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, GradCheckError
+from ..errors import ConfigError
 
 
 @dataclass
@@ -120,69 +122,3 @@ class Dense:
         self.W.grad += self._x.T @ upstream
         self.b.grad += upstream.sum(axis=0)
         return upstream @ self.W.value.T
-
-
-def grad_check(loss_fn, backward_fn, params: list[Param], h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn() must deterministically recompute the scalar loss from the current
-    parameter values; backward_fn() must populate param.grad for that loss.
-    Relative error per element is |a - n| / max(|a|, |n|, 1e-8).
-    """
-    zero_grads(params)
-    loss_fn()
-    backward_fn()
-    analytic = [p.grad.copy() for p in params]
-    worst = 0.0
-    for p, a_grad in zip(params, analytic):
-        if not np.all(np.isfinite(a_grad)):
-            raise GradCheckError(f"non-finite analytic gradient in {p.name}")
-        flat = p.value.reshape(-1)
-        a_flat = a_grad.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_fn()
-            flat[idx] = orig - h
-            down = loss_fn()
-            flat[idx] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise GradCheckError(f"non-finite loss while perturbing {p.name}[{idx}]")
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(a_flat[idx]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[idx] - numeric) / denom)
-    return worst
-
-
-def save_params(params: list[Param], fh) -> None:
-    """One block per tensor: `name rows cols` then row-major values, 17 significant digits."""
-    for p in params:
-        mat = p.value if p.value.ndim == 2 else p.value.reshape(1, -1)
-        fh.write(f"{p.name} {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_params(params: list[Param], fh) -> None:
-    """Read values written by save_params back into matching live params, in order."""
-    for p in params:
-        header = fh.readline().split()
-        if len(header) != 3 or not (header[1].isdigit() and header[2].isdigit()):
-            raise ConfigError(f"bad parameter header while loading {p.name}: {header}")
-        name, rows, cols = header[0], int(header[1]), int(header[2])
-        if name != p.name:
-            raise ConfigError(f"parameter order mismatch: file has {name}, model expects {p.name}")
-        if rows * cols != p.value.size:
-            raise ConfigError(f"{name}: file holds {rows}x{cols}, model expects {p.value.shape}")
-        data = np.empty((rows, cols))
-        for r in range(rows):
-            fields = fh.readline().split()
-            if len(fields) != cols:
-                raise ConfigError(f"{name}: row {r} holds {len(fields)} values, expected {cols}")
-            try:
-                data[r] = [float(v) for v in fields]
-            except ValueError:
-                raise ConfigError(f"{name}: non-numeric value in row {r}") from None
-            if not np.isfinite(data[r]).all():
-                raise ConfigError(f"{name}: non-finite value in row {r}")
-        p.value[...] = data.reshape(p.value.shape)

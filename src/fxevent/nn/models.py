@@ -23,8 +23,11 @@ runs INFERENCE_BATCH windows at a time, so the buffers grow to at most one
 training batch or INFERENCE_BATCH + 1 windows, whatever the dataset size.
 
 Gradients here are exact; tests hold them to central finite differences at
-1e-4 max relative error, and the fused cells to the per-gate reference cells
-in tests/oracles.py at 1e-12.
+1e-4 max relative error (criterion 1, with the checker in tests/oracles.py),
+and the fused cells to the per-gate reference cells there at 1e-12.
+
+This module owns the model file: `save_model` writes it and `load_model` reads
+and checks it.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ from .core import (
     Param,
     adam_step,
     clip_global_norm,
-    load_params,
     mse_loss,
-    save_params,
     sigmoid_,
     zero_grads,
 )
@@ -470,21 +471,6 @@ class RecurrentModel:
         self.head._x = None
 
 
-def loss_closures(model: RecurrentModel, windows: np.ndarray, targets: np.ndarray):
-    """(loss_fn, backward_fn) pair over fixed data, as grad_check expects."""
-
-    def loss_fn():
-        pred = model.forward_batch(windows)
-        return mse_loss(pred, targets)[0]
-
-    def backward_fn():
-        pred = model.forward_batch(windows)
-        _, dpred = mse_loss(pred, targets)
-        model.backward_batch(dpred)
-
-    return loss_fn, backward_fn
-
-
 def _forward_chunked(model: RecurrentModel, X: np.ndarray) -> np.ndarray:
     """forward_batch over consecutive INFERENCE_BATCH-window chunks, concatenated.
 
@@ -600,17 +586,19 @@ _MODEL_MAGIC = "fxevent-model v2"
 
 
 def save_model(model: RecurrentModel, path) -> None:
-    """Text format: a config/fingerprint header followed by the parameter blocks.
-
-    v2 files hold three fused blocks per cell (W, U, b); v1 held one block per gate.
-    """
+    """Text format: a config/fingerprint header, then one `name rows cols` block
+    per tensor with its row-major values at 17 significant digits."""
+    params = model.params()
     with open(path, "w") as fh:
         fh.write(_MODEL_MAGIC + "\n")
         fh.write("config " + json.dumps(asdict(model.config), sort_keys=True) + "\n")
         fh.write(f"stats_fingerprint {model.stats_fingerprint or '-'}\n")
-        params = model.params()
         fh.write(f"params {len(params)}\n")
-        save_params(params, fh)
+        for p in params:
+            mat = p.value if p.value.ndim == 2 else p.value.reshape(1, -1)
+            fh.write(f"{p.name} {mat.shape[0]} {mat.shape[1]}\n")
+            for row in mat:
+                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_model(path) -> RecurrentModel:
@@ -636,10 +624,31 @@ def load_model(path) -> RecurrentModel:
             raise ConfigError(
                 f"{path}: expected 'params {len(params)}', got {' '.join(n_line)!r}"
             )
-        try:
-            load_params(params, fh)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        for p in params:
+            header = fh.readline().split()
+            if len(header) != 3 or not (header[1].isdigit() and header[2].isdigit()):
+                raise ConfigError(f"{path}: bad parameter header while loading {p.name}: {header}")
+            name, rows, cols = header[0], int(header[1]), int(header[2])
+            if name != p.name:
+                raise ConfigError(
+                    f"{path}: parameter order mismatch: file has {name}, model expects {p.name}"
+                )
+            if rows * cols != p.value.size:
+                raise ConfigError(f"{path}: {name}: file holds {rows}x{cols}, model expects {p.value.shape}")
+            data = np.empty((rows, cols))
+            for r in range(rows):
+                fields = fh.readline().split()
+                if len(fields) != cols:
+                    raise ConfigError(f"{path}: {name}: row {r} holds {len(fields)} values, expected {cols}")
+                try:
+                    data[r] = [float(v) for v in fields]
+                except ValueError:
+                    raise ConfigError(f"{path}: {name}: non-numeric value in row {r}") from None
+                if not np.isfinite(data[r]).all():
+                    raise ConfigError(f"{path}: {name}: non-finite value in row {r}")
+            p.value[...] = data.reshape(p.value.shape)
+        if fh.read().strip():
+            raise ConfigError(f"{path}: text after the last parameter block")
         if fp_line[1] != "-":
             model.stats_fingerprint = fp_line[1]
     return model

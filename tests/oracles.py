@@ -12,7 +12,7 @@ import numpy as np
 from fxevent.errors import DataError
 from fxevent.events import BEARISH, BULLISH, DOWN, TROUGH, UP, CrossEvent, EventSequence, SequenceDiagnostics
 from fxevent.market_data import make_series, parse_timestamp
-from fxevent.nn.core import Dense, Param
+from fxevent.nn.core import Dense, Param, mse_loss, zero_grads
 
 
 def naive_sma(x, n):
@@ -233,6 +233,61 @@ def adam_reference(theta0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
         theta = theta - lr * m_hat / (v_hat**0.5 + eps)
         out.append(theta)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Central-difference gradient checking, the oracle of acceptance criterion 1.
+
+
+class GradCheckError(RuntimeError):
+    """Non-finite value encountered while checking gradients; message names the parameter."""
+
+
+def grad_check(loss_fn, backward_fn, params, h=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn() must deterministically recompute the scalar loss from the current
+    parameter values; backward_fn() must populate param.grad for that loss.
+    Relative error per element is |a - n| / max(|a|, |n|, 1e-8).
+    """
+    zero_grads(params)
+    loss_fn()
+    backward_fn()
+    analytic = [p.grad.copy() for p in params]
+    worst = 0.0
+    for p, a_grad in zip(params, analytic):
+        if not np.all(np.isfinite(a_grad)):
+            raise GradCheckError(f"non-finite analytic gradient in {p.name}")
+        flat = p.value.reshape(-1)
+        a_flat = a_grad.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss_fn()
+            flat[idx] = orig - h
+            down = loss_fn()
+            flat[idx] = orig
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise GradCheckError(f"non-finite loss while perturbing {p.name}[{idx}]")
+            numeric = (up - down) / (2.0 * h)
+            denom = max(abs(a_flat[idx]), abs(numeric), 1e-8)
+            worst = max(worst, abs(a_flat[idx] - numeric) / denom)
+    return worst
+
+
+def loss_closures(model, windows, targets):
+    """(loss_fn, backward_fn) pair over fixed data, as grad_check expects."""
+
+    def loss_fn():
+        pred = model.forward_batch(windows)
+        return mse_loss(pred, targets)[0]
+
+    def backward_fn():
+        pred = model.forward_batch(windows)
+        _, dpred = mse_loss(pred, targets)
+        model.backward_batch(dpred)
+
+    return loss_fn, backward_fn
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from fxevent.experiment import baseline_persistence, cell_seed, run_experiment
 from fxevent.indicators import adx, bollinger, ema, feature_matrix, macd, rsi, sma, williams_r
 from fxevent.market_data import synthetic_series
 from fxevent.metrics import mae, mape, mse, rmse
-from fxevent.nn.core import grad_check
-from fxevent.nn.models import ModelConfig, RecurrentModel, TrainHyper, loss_closures, predict, train
+from fxevent.nn.models import ModelConfig, RecurrentModel, TrainHyper, predict, train
 
 
 def test_criterion_1_gradient_correctness():
@@ -39,8 +38,8 @@ def test_criterion_1_gradient_correctness():
     for kind in ("rnn", "lstm", "bilstm", "gru"):
         cfg = ModelConfig(kind=kind, n_timesteps=5, input_dim=28, layers=2, hidden=4, seed=11)
         model = RecurrentModel(cfg)
-        loss_fn, backward_fn = loss_closures(model, X, y)
-        worst[kind] = grad_check(loss_fn, backward_fn, model.params(), h=1e-5)
+        loss_fn, backward_fn = oracles.loss_closures(model, X, y)
+        worst[kind] = oracles.grad_check(loss_fn, backward_fn, model.params(), h=1e-5)
         assert worst[kind] < 1e-4, f"{kind}: max relative error {worst[kind]:.3e}"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient checks took {elapsed:.1f}s"

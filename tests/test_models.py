@@ -14,7 +14,7 @@ import oracles
 from fxevent.nn import models
 from fxevent.dataset import Dataset, NormStats, Sample, apply_norm, fit_normalizer, invert_target
 from fxevent.errors import ConfigError
-from fxevent.nn.core import grad_check, sigmoid_, zero_grads
+from fxevent.nn.core import sigmoid_, zero_grads
 from fxevent.nn.models import (
     KINDS,
     BidirectionalLayer,
@@ -25,7 +25,6 @@ from fxevent.nn.models import (
     RNNLayer,
     TrainHyper,
     load_model,
-    loss_closures,
     predict,
     save_model,
     train,
@@ -256,8 +255,8 @@ class TestModelBackward:
         y = data.normal(size=1)
         cfg = ModelConfig(kind=kind, n_timesteps=5, input_dim=28, layers=2, hidden=4, seed=11)
         model = RecurrentModel(cfg)
-        loss_fn, backward_fn = loss_closures(model, X, y)
-        assert grad_check(loss_fn, backward_fn, model.params(), h=1e-5) < 1e-4
+        loss_fn, backward_fn = oracles.loss_closures(model, X, y)
+        assert oracles.grad_check(loss_fn, backward_fn, model.params(), h=1e-5) < 1e-4
 
     def test_grad_check_single_layer_lstm(self):
         data = np.random.default_rng(0)
@@ -265,8 +264,8 @@ class TestModelBackward:
         y = data.normal(size=1)
         cfg = ModelConfig(kind="lstm", n_timesteps=5, input_dim=4, layers=1, hidden=4, seed=7)
         model = RecurrentModel(cfg)
-        loss_fn, backward_fn = loss_closures(model, X, y)
-        assert grad_check(loss_fn, backward_fn, model.params(), h=1e-5) < 1e-4
+        loss_fn, backward_fn = oracles.loss_closures(model, X, y)
+        assert oracles.grad_check(loss_fn, backward_fn, model.params(), h=1e-5) < 1e-4
 
     def test_dropped_gate_term_is_detected(self):
         # the finite-difference check must catch a miscomputed backward pass
@@ -275,13 +274,13 @@ class TestModelBackward:
         y = data.normal(size=2)
         cfg = ModelConfig(kind="lstm", n_timesteps=5, input_dim=4, layers=1, hidden=4, seed=7)
         model = RecurrentModel(cfg)
-        loss_fn, backward_fn = loss_closures(model, X, y)
+        loss_fn, backward_fn = oracles.loss_closures(model, X, y)
 
         def corrupted_backward():
             backward_fn()
             model.layers[0].U.grad[:, 3 * 4 :] = 0.0  # drop the output gate's recurrent term
 
-        assert grad_check(loss_fn, corrupted_backward, model.params(), h=1e-5) > 1e-2
+        assert oracles.grad_check(loss_fn, corrupted_backward, model.params(), h=1e-5) > 1e-2
 
     def test_zero_upstream_gives_zero_grads(self, rng):
         cfg = ModelConfig(kind="lstm", n_timesteps=4, input_dim=3, layers=2, hidden=3, seed=2)
@@ -609,6 +608,44 @@ class TestSaveLoad:
         save_model(RecurrentModel(cfg), path)
         assert load_model(path).config == cfg
 
+    def test_golden_bytes(self, tmp_path):
+        model = RecurrentModel(ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=1))
+        # 0.1 needs all 17 digits; the smallest subnormal and a negative zero too
+        for p, value in zip(model.params(), ([[0.1], [-2.5]], [[-0.0]], [5e-324], [[3.0]], [-0.5]), strict=True):
+            p.value[...] = value
+        model.stats_fingerprint = "0123456789abcdef"
+        path = tmp_path / "m.model.txt"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b"fxevent-model v2\n"
+            b'config {"hidden": 1, "input_dim": 2, "kind": "rnn", "layers": 1, "n_timesteps": 3, "seed": 0}\n'
+            b"stats_fingerprint 0123456789abcdef\n"
+            b"params 5\n"
+            b"layer0.W 2 1\n0.10000000000000001\n-2.5\n"
+            b"layer0.U 1 1\n-0\n"
+            b"layer0.b 1 1\n4.9406564584124654e-324\n"
+            b"head.W 1 1\n3\n"
+            b"head.b 1 1\n-0.5\n"
+        )
+
+    def test_order_mismatch_rejected(self, tmp_path):
+        cfg = ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=4, seed=0)
+        path = tmp_path / "m.model.txt"
+        save_model(RecurrentModel(cfg), path)
+        path.write_text(path.read_text().replace("layer0.U 4 4", "layer0.V 4 4"))
+        expected = f"{path}: parameter order mismatch: file has layer0.V, model expects layer0.U"
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            load_model(path)
+
+    def test_blocks_written_twice_rejected(self, tmp_path):
+        cfg = ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=4, seed=0)
+        path = tmp_path / "m.model.txt"
+        save_model(RecurrentModel(cfg), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[4:]))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: text after the last parameter block')}$"):
+            load_model(path)
+
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
@@ -630,6 +667,7 @@ class TestSaveLoad:
             (5, "0.5 0.25 x 1"),  # non-numeric value
             (5, "0.5 0.25 nan 1"),  # non-finite value
             (1, "config {not json"),
+            (21, "junk"),  # a line past the 21 the file holds
         ],
     )
     def test_malformed_file_names_path(self, tmp_path, line, replacement):
@@ -637,7 +675,7 @@ class TestSaveLoad:
         path = tmp_path / "m.model.txt"
         save_model(RecurrentModel(cfg), path)
         lines = path.read_text().splitlines()
-        lines[line] = replacement
+        lines[line : line + 1] = [replacement]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_model(path)

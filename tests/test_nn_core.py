@@ -1,19 +1,14 @@
-import io
-
 import numpy as np
 import pytest
 
 import oracles
-from fxevent.errors import ConfigError, GradCheckError
+from fxevent.errors import ConfigError
 from fxevent.nn.core import (
     Dense,
     Param,
     adam_step,
     clip_global_norm,
-    grad_check,
-    load_params,
     mse_loss,
-    save_params,
     sigmoid_,
     zero_grads,
 )
@@ -200,7 +195,7 @@ class TestDense:
             _, grad = mse_loss(out.ravel(), target.ravel())
             layer.backward(grad.reshape(out.shape))
 
-        err = grad_check(loss_fn, backward_fn, layer.params(), h=1e-5)
+        err = oracles.grad_check(loss_fn, backward_fn, layer.params(), h=1e-5)
         assert err < 1e-6
 
     def test_shape_mismatch_message(self, rng):
@@ -223,7 +218,7 @@ class TestGradCheck:
             _, dpred = mse_loss(pred, target)
             w.grad[:, 0] += x.T @ dpred
 
-        assert grad_check(loss_fn, backward_fn, [w], h=1e-5) < 1e-10
+        assert oracles.grad_check(loss_fn, backward_fn, [w], h=1e-5) < 1e-10
 
     def test_corrupted_backward_detected(self, rng):
         # dropping a term must blow past any plausible tolerance: the check has teeth
@@ -240,7 +235,7 @@ class TestGradCheck:
             layer.backward(grad.reshape(out.shape))
             layer.W.grad[0, :] = 0.0  # drop one row's gradient
 
-        assert grad_check(loss_fn, corrupted_backward, layer.params(), h=1e-5) > 1e-2
+        assert oracles.grad_check(loss_fn, corrupted_backward, layer.params(), h=1e-5) > 1e-2
 
     def test_nonfinite_raises_with_name(self):
         w = Param("bad.weight", np.array([1.0]))
@@ -251,28 +246,6 @@ class TestGradCheck:
         def backward_fn():
             w.grad[...] = 0.0
 
-        with pytest.raises(GradCheckError, match="bad.weight"):
-            grad_check(loss_fn, backward_fn, [w], h=1e-5)
+        with pytest.raises(oracles.GradCheckError, match="bad.weight"):
+            oracles.grad_check(loss_fn, backward_fn, [w], h=1e-5)
 
-
-class TestParamSerialization:
-    def test_round_trip_17_digits(self, rng):
-        params = [
-            Param("a.W", rng.normal(size=(3, 4))),
-            Param("a.b", rng.normal(size=5)),
-        ]
-        buf = io.StringIO()
-        save_params(params, buf)
-        buf.seek(0)
-        clones = [Param("a.W", np.zeros((3, 4))), Param("a.b", np.zeros(5))]
-        load_params(clones, buf)
-        for p, c in zip(params, clones):
-            assert np.array_equal(p.value, c.value)
-
-    def test_order_mismatch_rejected(self, rng):
-        params = [Param("x", rng.normal(size=(2, 2)))]
-        buf = io.StringIO()
-        save_params(params, buf)
-        buf.seek(0)
-        with pytest.raises(ConfigError, match="order"):
-            load_params([Param("y", np.zeros((2, 2)))], buf)
