@@ -15,7 +15,7 @@ from .config import DataConfig, EventConfig, ModelArch, load_config, write_examp
 from .errors import ConfigError, DataError
 from .experiment import detect_events, emit_predictions, run_experiment
 from .indicators import IndicatorParams, feature_matrix, save_features_csv
-from .market_data import DEFAULT_PIP_SIZE, TRENDS, RegimeParams, load_csv, save_csv, synthetic_series
+from .market_data import DEFAULT_PIP_SIZE, TRENDS, RegimeParams, finite_float, load_csv, save_csv, synthetic_series
 from .metrics import MetricsReport
 from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save_model, train
 
@@ -23,7 +23,7 @@ from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save
 def _add_series_args(p):
     p.add_argument("--csv", required=True, help="input candle CSV (timestamp,open,high,low,close)")
     p.add_argument("--symbol", default=DataConfig.symbol)
-    p.add_argument("--pip-size", type=float, default=DEFAULT_PIP_SIZE)
+    p.add_argument("--pip-size", type=finite_float, default=DEFAULT_PIP_SIZE)
 
 
 def _load_series(args):
@@ -177,7 +177,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=DataConfig.synth_n)
     p.add_argument("--symbol", default=DataConfig.symbol)
     p.add_argument("--trend", default=RegimeParams.trend, choices=TRENDS)
-    p.add_argument("--noise-pips", type=float, default=RegimeParams.noise_pips)
+    p.add_argument("--noise-pips", type=finite_float, default=RegimeParams.noise_pips)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -189,7 +189,7 @@ def build_parser():
     p = sub.add_parser("events", help="dump pivots, crossovers and retracements")
     _add_series_args(p)
     p.add_argument("--depth", type=int, default=ev_mod.ZigZagParams.depth)
-    p.add_argument("--deviation-pips", type=float, default=ev_mod.ZigZagParams.deviation_pips)
+    p.add_argument("--deviation-pips", type=finite_float, default=ev_mod.ZigZagParams.deviation_pips)
     p.add_argument("--backstep", type=int, default=ev_mod.ZigZagParams.backstep)
     p.add_argument("--fast", type=int, default=EventConfig.cross_fast)
     p.add_argument("--slow", type=int, default=EventConfig.cross_slow)
@@ -210,11 +210,11 @@ def build_parser():
     p.add_argument("--layers", type=int, default=ModelArch.layers)
     p.add_argument("--hidden", type=int, default=ModelArch.hidden)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
-    p.add_argument("--lr", type=float, default=TrainHyper.lr)
+    p.add_argument("--lr", type=finite_float, default=TrainHyper.lr)
     p.add_argument("--batch-size", type=int, default=TrainHyper.batch_size)
     p.add_argument("--epochs", type=int, default=TrainHyper.max_epochs)
     p.add_argument("--patience", type=int, default=TrainHyper.patience)
-    p.add_argument("--val-fraction", type=float, default=ModelArch.val_fraction)
+    p.add_argument("--val-fraction", type=finite_float, default=ModelArch.val_fraction)
     p.add_argument("--out", required=True, help="model file path")
     p.set_defaults(func=cmd_train)
 

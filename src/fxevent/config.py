@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .events import RetraceParams, ZigZagParams
 from .indicators import IndicatorParams
-from .market_data import DEFAULT_PIP_SIZE, RegimeParams, parse_timestamp
+from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float, parse_timestamp
 from .nn.models import KINDS, ModelConfig, TrainHyper
 
 
@@ -32,6 +32,8 @@ class DataConfig:
             raise ConfigError(f"source must be synthetic or csv, got {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("source = csv requires a csv path")
+        if self.synth_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.synth_seed}")
         if self.synth_n < 1:
             raise ConfigError(f"n must be >= 1, got {self.synth_n}")
         if not self.pip_size > 0:
@@ -55,7 +57,6 @@ class SplitConfig:
 class EventConfig:
     cross_fast: int = 5
     cross_slow: int = 20
-    causal_filter: bool = False
 
     def __post_init__(self):
         if not 1 <= self.cross_fast < self.cross_slow:
@@ -112,8 +113,12 @@ class ExperimentConfig:
     seed: int = 42
     save_models: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
     def validate(self):
-        """Re-run every section's checks on a copy, so a section edited in place is caught too."""
+        """Re-run every check on a copy, so a section or the seed edited in place is caught too."""
         for f in fields(self):
             section = getattr(self, f.name)
             if is_dataclass(section):
@@ -121,6 +126,7 @@ class ExperimentConfig:
                     replace(section)
                 except ConfigError as exc:
                     raise ConfigError(f"{f.name}: {exc}") from None
+        replace(self)
         return self
 
 
@@ -145,7 +151,6 @@ _SECTIONS = {
     )),
     "zigzag": ("zigzag", _keys("depth", "deviation_pips", "backstep")),
     "crossover": ("events", _keys("fast=cross_fast", "slow=cross_slow")),
-    "events": ("events", _keys("causal_filter")),
     "retracement": ("retrace", _keys("local_radius", "lookahead")),
     "grid": ("grid", _keys("kinds", "timesteps")),
     "model": ("arch", _keys("layers", "hidden", "val_fraction")),
@@ -163,9 +168,9 @@ def _parse(parser, section, key, default):
     if section == "split":  # a timestamp cutoff or a fraction; an empty value counts as absent
         if not raw:
             return None
-        return parse_timestamp(raw) if key == "cutoff" else float(raw)
+        return parse_timestamp(raw) if key == "cutoff" else finite_float(raw)
     if isinstance(default, tuple):
-        kind = type(default[0])
+        kind = finite_float if isinstance(default[0], float) else type(default[0])
         return tuple(kind(v.strip()) for v in raw.split(",") if v.strip())
     return getattr(parser, _GETTERS[type(default)])(section, key)
 
@@ -173,10 +178,10 @@ def _parse(parser, section, key, default):
 def load_config(path) -> ExperimentConfig:
     """Read an INI config over the defaults.
 
-    An unknown section or key, a value that does not parse and a value out of
-    range each raise ConfigError naming the file.
+    An unknown section or key, a value that does not parse (nan and infinities
+    do not) and a value out of range each raise ConfigError naming the file.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), converters={"float": finite_float})
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -233,7 +238,6 @@ _NOTES = {
     "split.cutoff_fraction": "share of the series span before the cutoff",
     "split.cutoff": ("2019-01-01T00:00:00Z", "instead of cutoff_fraction (epoch seconds also accepted)"),
     "crossover.fast": "EMA periods forming the confirmation crossover",
-    "events.causal_filter": "drop sequences whose crossover precedes pivot confirmation",
 }
 
 

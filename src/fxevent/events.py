@@ -22,11 +22,10 @@ re-derivation matches index for index:
   the result is empty.
 
   confirm_index = min(index + depth, n - 1): the first bar at which the
-  candidacy window is complete, i.e. when rules (a)-(c) become decidable. Note
-  pivots still repaint beyond that bar (a later, more extreme same-kind
-  candidate can replace a provisional pivot), which is the known look-ahead
-  caveat of this detector; `causal_filter` in the experiment config drops
-  sequences whose crossover precedes the pivot's confirm_index.
+  candidacy window is complete, i.e. when rules (a)-(c) become decidable. Pivots
+  still repaint after it (a later, more extreme same-kind candidate can replace a
+  provisional pivot): the detector's known look-ahead. Every setup is used, even
+  one whose crossover precedes that bar. ROADMAP.md plans to score causal setups.
 """
 
 from __future__ import annotations
@@ -119,7 +118,6 @@ class SequenceDiagnostics:
     eligible_crossovers: int = 0
     no_retracement: int = 0
     emitted: int = 0
-    dropped_noncausal: int = 0
 
 
 def _window_candidates(values: np.ndarray, depth: int, is_trough: bool) -> np.ndarray:
@@ -279,10 +277,3 @@ def assemble_sequences(
         sequences.append(EventSequence(pivot, cross, hit))
         diags.emitted += 1
     return sequences, diags
-
-
-def filter_causal(sequences: list[EventSequence], diags: SequenceDiagnostics) -> list[EventSequence]:
-    """Drop sequences whose crossover fires before the pivot was confirmable."""
-    kept = [s for s in sequences if s.cross.index >= s.pivot.confirm_index]
-    diags.dropped_noncausal += len(sequences) - len(kept)
-    return kept

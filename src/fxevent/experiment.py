@@ -132,8 +132,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cutoff = resolve_cutoff(series, cfg)
     features = feature_matrix(series, cfg.indicators)
     _, _, sequences, diags = detect_events(series, cfg.zigzag, cfg.events, cfg.retrace)
-    if cfg.events.causal_filter:
-        sequences = ev_mod.filter_causal(sequences, diags)
 
     result.diagnostics = {
         "bars": len(series),
@@ -143,7 +141,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "eligible_crossovers": diags.eligible_crossovers,
         "no_retracement": diags.no_retracement,
         "sequences": len(sequences),
-        "dropped_noncausal": diags.dropped_noncausal,
     }
 
     datasets: dict[int, dict] = {}  # the manifest's sample counts, and the error of a degenerate split

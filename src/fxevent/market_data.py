@@ -115,6 +115,14 @@ def parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+def finite_float(text: str) -> float:
+    """`float(text)`, refusing nan and infinities: how every float setting and flag is read."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 _CANDLE_COLUMNS = ("timestamp", "open", "high", "low", "close")
 _BAR = np.dtype([(name, np.int64 if name == "timestamp" else np.float64) for name in _CANDLE_COLUMNS])
 
@@ -218,6 +226,8 @@ class RegimeParams:
 def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), symbol: str = "SYN",
                      pip_size: float = DEFAULT_PIP_SIZE) -> CandleSeries:
     """Deterministic synthetic OHLC series; pure function of its arguments, with `*_pips` in units of pip_size."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n < 1 or not pip_size > 0:
         raise ConfigError(f"need n >= 1 and pip_size > 0, got n {n} and pip_size {pip_size}")
 

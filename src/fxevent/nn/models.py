@@ -69,6 +69,8 @@ class ModelConfig:
             raise ConfigError(f"unknown model kind {self.kind!r}, expected one of {KINDS}")
         if self.layers < 1 or self.hidden < 1 or self.n_timesteps < 1 or self.input_dim < 1:
             raise ConfigError("layers, hidden, n_timesteps and input_dim must all be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def bidirectional(self) -> bool:

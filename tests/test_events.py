@@ -17,7 +17,6 @@ from fxevent.events import (
     ZigZagParams,
     assemble_sequences,
     crossovers,
-    filter_causal,
     find_retracement,
     retracement_candidates,
     zigzag,
@@ -284,11 +283,3 @@ class TestAssembleSequences:
     @pytest.mark.parametrize("kind, direction, trend", [(TROUGH, BULLISH, UP), (PEAK, BEARISH, DOWN)])
     def test_sequence_trend_follows_pivot(self, kind, direction, trend):
         assert EventSequence(Pivot(1, kind, 1.0, 3), CrossEvent(5, direction), 20).trend == trend
-
-    def test_causal_filter(self, synth):
-        pivots = zigzag(synth)
-        crosses = crossovers(ema(synth.closes, 5), ema(synth.closes, 20))
-        sequences, diags = assemble_sequences(pivots, crosses, synth)
-        kept = filter_causal(sequences, diags)
-        assert all(s.cross.index >= s.pivot.confirm_index for s in kept)
-        assert diags.dropped_noncausal == len(sequences) - len(kept)

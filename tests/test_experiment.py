@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import csv
 import io
@@ -13,7 +14,7 @@ import pytest
 
 from fxevent import config as config_mod
 from fxevent import experiment
-from fxevent.cli import main
+from fxevent.cli import build_parser, main
 from fxevent.config import (
     DataConfig,
     EventConfig,
@@ -374,8 +375,6 @@ backstep = 2
 [crossover]
 fast = 4
 slow = 15
-[events]
-causal_filter = true
 [retracement]
 local_radius = 2
 lookahead = 40
@@ -398,6 +397,26 @@ save_models = true
 [run]
 seed = 9
 """
+
+
+def float_keys():
+    """(section, key, default) for every key whose field holds a float or a tuple of floats."""
+    cfg = ExperimentConfig()
+    for section, (attr, keys) in config_mod._SECTIONS.items():
+        target = getattr(cfg, attr) if attr else cfg
+        for key, name in keys.items():
+            default = getattr(target, name)
+            if isinstance(default[0] if isinstance(default, tuple) else default, float):
+                yield pytest.param(section, key, default, id=f"{section}.{key}")
+
+
+def float_flags():
+    """(command, flag) for every CLI flag whose default is a float."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if isinstance(action.default, float):
+                yield pytest.param(command, action.option_strings[-1], id=f"{command} {action.option_strings[-1]}")
 
 
 class TestConfigFile:
@@ -466,7 +485,7 @@ class TestConfigFile:
             split=SplitConfig(cutoff=1609459200, cutoff_fraction=None),
             indicators=IndicatorParams(10, 30, 7, 15, 1.5, (3, 6), (7,), (9, 11), (8,)),
             zigzag=ZigZagParams(8, 3.5, 2),
-            events=EventConfig(4, 15, True),
+            events=EventConfig(4, 15),
             retrace=RetraceParams(2, 40),
             grid=GridConfig(("lstm", "gru"), (20,)),
             arch=ModelArch(1, 16, 0.2),
@@ -483,9 +502,11 @@ class TestConfigFile:
         "text, match",
         [
             ("[grdi]\nkinds = lstm\n", r"unknown section \[grdi\]"),
+            # an older config may still hold this section
+            ("[events]\ncausal_filter = false\n", r"unknown section \[events\], expected one of data, "),
             ("[training]\nmax_epoch = 5\n", r"\[training\] unknown key 'max_epoch'"),
             ("[training]\nlr = fast\n", r"\[training\] lr: "),
-            ("[events]\ncausal_filter = maybe\n", r"\[events\] causal_filter: "),
+            ("[output]\nsave_models = maybe\n", r"\[output\] save_models: "),
             ("[grid]\ntimesteps = 30,x\n", r"\[grid\] timesteps: "),
             ("[split]\ncutoff = soon\n", r"\[split\] cutoff: "),
             ("[regime]\nleg_len = 5,6,7\n", r"\[regime\] leg_len expects two values"),
@@ -521,6 +542,16 @@ class TestConfigFile:
             load_config(path)
         assert main(["experiment", "--config", str(path)]) == 2
         assert re.match(f"error: {re.escape(str(path))}: {match}", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("section, key, default", float_keys())
+    def test_non_finite_float_names_file_section_and_key(self, tmp_path, section, key, default, bad):
+        value = f"{default[0]},{bad}" if isinstance(default, tuple) else bad  # a list: after a good value
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        match = f"{re.escape(str(path))}: \\[{section}\\] {key}: not a finite number: '{bad}'$"
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -581,6 +612,35 @@ class TestCli:
             assert row["price"] == repr(float(series.closes[index]))
             assert (row["direction"] == "up") == (seq.pivot.kind == TROUGH)
             assert row["direction"] in ("up", "down")
+
+    @pytest.mark.parametrize("entry", ["run", "data", "synth", "train"])
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys, entry):
+        out = tmp_path / "out"
+        message = "seed must be >= 0, got -1"
+        if entry in ("run", "data"):
+            path = tmp_path / "cfg.ini"
+            path.write_text(f"[{entry}]\nseed = -1\n[output]\ndir = {out}\n")
+            argv = ["experiment", "--config", str(path)]
+            message = f"{path}: [{entry}] {message}"
+        elif entry == "synth":
+            argv = ["synth", "--seed", "-1", "--out", str(out)]
+        else:
+            main(["synth", "--seed", "3", "--n", "1500", "--out", str(tmp_path / "series.csv")])
+            main(["dataset", "--csv", str(tmp_path / "series.csv"), "--timesteps", "20",
+                  "--out", str(tmp_path / "ds")])
+            capsys.readouterr()
+            argv = ["train", "--dataset", str(tmp_path / "ds"), "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", float_flags())
+    def test_non_finite_float_flag_exits_2(self, capsys, command, flag, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={bad}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid finite_float value: '{bad}'" in capsys.readouterr().err
 
     def test_train_then_evaluate(self, tmp_path):
         series_csv = tmp_path / "series.csv"
