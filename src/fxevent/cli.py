@@ -14,7 +14,7 @@ from . import events as ev_mod
 from .config import DataConfig, EventConfig, ModelArch, load_config, write_example
 from .errors import ConfigError, DataError
 from .experiment import detect_events, emit_predictions, run_experiment
-from .indicators import IndicatorParams, feature_matrix, save_features_csv
+from .indicators import feature_matrix, save_features_csv
 from .market_data import DEFAULT_PIP_SIZE, TRENDS, RegimeParams, finite_float, load_csv, save_csv, synthetic_series
 from .metrics import MetricsReport
 from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save_model, train
@@ -40,7 +40,7 @@ def cmd_synth(args):
 
 def cmd_features(args):
     series = _load_series(args)
-    feats = feature_matrix(series, IndicatorParams())
+    feats = feature_matrix(series)
     save_features_csv(series, feats, args.out)
     print(f"wrote {len(feats)} rows x {len(feats.columns)} columns to {args.out} "
           f"(warmup {feats.warmup_len})")
@@ -77,7 +77,7 @@ def cmd_events(args):
 
 def cmd_dataset(args):
     series = _load_series(args)
-    feats = feature_matrix(series, IndicatorParams())
+    feats = feature_matrix(series)
     _, _, sequences, _ = detect_events(
         series, ev_mod.ZigZagParams(), EventConfig(args.fast, args.slow), ev_mod.RetraceParams()
     )

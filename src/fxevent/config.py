@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .events import RetraceParams, ZigZagParams
-from .indicators import IndicatorParams
 from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float, parse_timestamp
 from .nn.models import KINDS, ModelConfig, TrainHyper
 
@@ -102,7 +101,6 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     regime: RegimeParams = field(default_factory=RegimeParams)
     split: SplitConfig = field(default_factory=SplitConfig)
-    indicators: IndicatorParams = field(default_factory=IndicatorParams)
     zigzag: ZigZagParams = field(default_factory=ZigZagParams)
     events: EventConfig = field(default_factory=EventConfig)
     retrace: RetraceParams = field(default_factory=RetraceParams)
@@ -145,10 +143,6 @@ _SECTIONS = {
         "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
     )),
     "split": ("split", _keys("cutoff_fraction", "cutoff")),
-    "indicators": ("indicators", _keys(
-        "macd_fast", "macd_slow", "macd_signal", "boll_window", "boll_k",
-        "sma_periods", "rsi_periods", "adx_periods", "wr_periods",
-    )),
     "zigzag": ("zigzag", _keys("depth", "deviation_pips", "backstep")),
     "crossover": ("events", _keys("fast=cross_fast", "slow=cross_slow")),
     "retracement": ("retrace", _keys("local_radius", "lookahead")),

@@ -130,7 +130,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     series = _load_series(cfg)
     cutoff = resolve_cutoff(series, cfg)
-    features = feature_matrix(series, cfg.indicators)
+    features = feature_matrix(series)
     _, _, sequences, diags = detect_events(series, cfg.zigzag, cfg.events, cfg.retrace)
 
     result.diagnostics = {
@@ -324,7 +324,6 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, datasets: di
             "data": asdict(cfg.data),
             "regime": asdict(cfg.regime),
             "split": asdict(cfg.split),
-            "indicators": asdict(cfg.indicators),
             "zigzag": asdict(cfg.zigzag),
             "events": asdict(cfg.events),
             "retracement": asdict(cfg.retrace),

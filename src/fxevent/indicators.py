@@ -1,5 +1,11 @@
 """Technical indicator kernels and the 28-column feature matrix.
 
+The feature set is the paper's and is fixed: MACD 12/26/9, SMA over 7 periods,
+RSI over 4, ADX over 7, Bollinger 20-bar/2.0 and Williams %R over 4, with the
+periods and the column order held in the module constants below. No setting
+changes them, so every model and every stats file built by this package sees
+the same columns. The kernels themselves take any period.
+
 All kernels return float64 arrays aligned to the input series, with NaN marking
 the undefined warm-up prefix. NaN is the only undefined marker; warm-up cells are
 never silently zero-filled.
@@ -28,43 +34,22 @@ from .market_data import CandleSeries
 
 _STD_BLOCK_ROWS = 4096  # windows per block in `bollinger`'s standard deviation
 
+MACD_FAST, MACD_SLOW, MACD_SIGNAL = 12, 26, 9
+BOLL_WINDOW, BOLL_K = 20, 2.0
+SMA_PERIODS = (5, 10, 15, 20, 25, 30, 36)
+RSI_PERIODS = (5, 14, 20, 25)
+ADX_PERIODS = (5, 10, 15, 20, 25, 30, 35)
+WR_PERIODS = (5, 14, 20, 25)
 
-@dataclass(frozen=True)
-class IndicatorParams:
-    macd_fast: int = 12
-    macd_slow: int = 26
-    macd_signal: int = 9
-    boll_window: int = 20
-    boll_k: float = 2.0
-    sma_periods: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 36)
-    rsi_periods: tuple[int, ...] = (5, 14, 20, 25)
-    adx_periods: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35)
-    wr_periods: tuple[int, ...] = (5, 14, 20, 25)
-
-    def __post_init__(self):
-        periods = (
-            (self.macd_fast, self.macd_slow, self.macd_signal, self.boll_window)
-            + self.sma_periods
-            + self.rsi_periods
-            + self.adx_periods
-            + self.wr_periods
-        )
-        if any(p < 1 for p in periods):
-            raise ConfigError("all indicator periods must be >= 1")
-        if self.macd_fast >= self.macd_slow:
-            raise ConfigError(f"macd_fast must be < macd_slow, got {self.macd_fast}/{self.macd_slow}")
-        if self.boll_window < 2:
-            raise ConfigError("boll_window must be >= 2")
-
-    def column_names(self) -> list[str]:
-        """Canonical column order: MACD triple, SMA, RSI, ADX, Bollinger triple, WR."""
-        names = ["macd", "macd_signal", "macd_hist"]
-        names += [f"sma{p}" for p in self.sma_periods]
-        names += [f"rsi{p}" for p in self.rsi_periods]
-        names += [f"adx{p}" for p in self.adx_periods]
-        names += ["boll_lower", "boll_middle", "boll_upper"]
-        names += [f"wr{p}" for p in self.wr_periods]
-        return names
+# Canonical column order: MACD triple, SMA, RSI, ADX, Bollinger triple, WR.
+COLUMNS = (
+    ("macd", "macd_signal", "macd_hist")
+    + tuple(f"sma{p}" for p in SMA_PERIODS)
+    + tuple(f"rsi{p}" for p in RSI_PERIODS)
+    + tuple(f"adx{p}" for p in ADX_PERIODS)
+    + ("boll_lower", "boll_middle", "boll_upper")
+    + tuple(f"wr{p}" for p in WR_PERIODS)
+)
 
 
 @dataclass(frozen=True)
@@ -144,10 +129,10 @@ def ema(close: np.ndarray, n: int) -> np.ndarray:
     return _smooth(close[1:], close[0], k=2.0 / (n + 1.0))
 
 
-def macd(close: np.ndarray, params: IndicatorParams = IndicatorParams()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def macd(close: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(macd, signal, histogram): fast EMA minus slow EMA, its EMA, and their difference."""
-    line = ema(close, params.macd_fast) - ema(close, params.macd_slow)
-    signal = ema(line, params.macd_signal)
+    line = ema(close, MACD_FAST) - ema(close, MACD_SLOW)
+    signal = ema(line, MACD_SIGNAL)
     return line, signal, line - signal
 
 
@@ -206,10 +191,10 @@ def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndar
     return out
 
 
-def bollinger(close: np.ndarray, params: IndicatorParams = IndicatorParams()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bollinger(close: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, middle, upper) bands: SMA +- k * population stddev over the window."""
     close = np.asarray(close, dtype=np.float64)
-    w, k = params.boll_window, params.boll_k
+    w, k = BOLL_WINDOW, BOLL_K
     middle = sma(close, w)
     dev = _nan_prefix(len(close))
     if w <= len(close):
@@ -241,16 +226,15 @@ def williams_r(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> 
     return out
 
 
-def feature_matrix(series: CandleSeries, params: IndicatorParams = IndicatorParams()) -> FeatureMatrix:
-    """Assemble all indicator columns (28 with default params) in canonical order.
+def feature_matrix(series: CandleSeries) -> FeatureMatrix:
+    """Assemble the 28 indicator columns in `COLUMNS` order.
 
-    warmup_len is the first row at which every column is defined; with default
-    params that is 2*35 - 1 = 69 (the slowest ADX).
+    warmup_len is the first row at which every column is defined: 2*35 - 1 = 69
+    (the slowest ADX), or the series length when it is shorter.
     """
-    names = params.column_names()
-    values = np.empty((len(series), len(names)))
+    values = np.empty((len(series), len(COLUMNS)))
     warmup = 0
-    for j, col in enumerate(_columns(series, params)):
+    for j, col in enumerate(_columns(series)):
         values[:, j] = col
         finite = np.nonzero(np.isfinite(col))[0]
         warmup = max(warmup, int(finite[0]) if finite.size else len(series))
@@ -265,24 +249,24 @@ def feature_matrix(series: CandleSeries, params: IndicatorParams = IndicatorPara
     elif not np.all(np.isfinite(values[warmup:])):
         bad = np.argwhere(~np.isfinite(values[warmup:]))[0]
         raise DataError(
-            f"indicator {names[bad[1]]} is not finite at bar {warmup + int(bad[0])}, "
+            f"indicator {COLUMNS[bad[1]]} is not finite at bar {warmup + int(bad[0])}, "
             f"past its warm-up of {warmup} bars"
         )
-    return FeatureMatrix(tuple(names), values, warmup)
+    return FeatureMatrix(COLUMNS, values, warmup)
 
 
-def _columns(series: CandleSeries, params: IndicatorParams):
-    """Yield the indicator columns one at a time, in `column_names` order."""
+def _columns(series: CandleSeries):
+    """Yield the indicator columns one at a time, in `COLUMNS` order."""
     closes, highs, lows = series.closes, series.highs, series.lows
-    yield from macd(closes, params)
-    for p in params.sma_periods:
+    yield from macd(closes)
+    for p in SMA_PERIODS:
         yield sma(closes, p)
-    for p in params.rsi_periods:
+    for p in RSI_PERIODS:
         yield rsi(closes, p)
-    for p in params.adx_periods:
+    for p in ADX_PERIODS:
         yield adx(highs, lows, closes, p)
-    yield from bollinger(closes, params)
-    for p in params.wr_periods:
+    yield from bollinger(closes)
+    for p in WR_PERIODS:
         yield williams_r(highs, lows, closes, p)
 
 

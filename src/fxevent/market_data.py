@@ -213,6 +213,11 @@ class RegimeParams:
             raise ConfigError(f"leg_len range invalid: {self.leg_len}")
         if self.slope_pips[0] <= 0 or self.slope_pips[0] > self.slope_pips[1]:
             raise ConfigError(f"slope_pips range invalid: {self.slope_pips}")
+        # a dip outside the leg or one that gives nothing back leaves no setups to learn from
+        if not 0 < self.notch_frac[0] <= self.notch_frac[1] < 1:
+            raise ConfigError(f"notch_frac needs 0 < low <= high < 1, got {self.notch_frac}")
+        if not 0 < self.notch_retrace[0] <= self.notch_retrace[1]:
+            raise ConfigError(f"notch_retrace needs 0 < low <= high, got {self.notch_retrace}")
         if self.noise_pips < 0 or self.wick_pips < 0 or self.reversion_pips < 0:
             raise ConfigError("noise_pips, wick_pips and reversion_pips must be >= 0")
         if self.notch_down_bars < 0 or self.notch_recover_bars < 0:

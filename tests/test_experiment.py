@@ -37,7 +37,6 @@ from fxevent.experiment import (
     resolve_cutoff,
     run_experiment,
 )
-from fxevent.indicators import IndicatorParams
 from fxevent.market_data import RegimeParams, load_csv
 from fxevent.nn.models import TrainHyper
 
@@ -358,16 +357,6 @@ trend = up
 reversion_pips = 100
 [split]
 cutoff = 2021-01-01T00:00:00Z
-[indicators]
-macd_fast = 10
-macd_slow = 30
-macd_signal = 7
-boll_window = 15
-boll_k = 1.5
-sma_periods = 3,6
-rsi_periods = 7
-adx_periods = 9, 11
-wr_periods = 8
 [zigzag]
 depth = 8
 deviation_pips = 3.5
@@ -460,6 +449,16 @@ class TestConfigFile:
                 settable.append((None, f.name))
         assert sorted(reached, key=str) == sorted(settable, key=str)
 
+    def test_readme_config_summary_matches_key_table(self):
+        # README states the key and section counts and lists the sections by hand
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        found = re.search(r"(\d+) keys in (\d+) sections, (.*?)\. ", readme)
+        assert found, "README lost its '<n> keys in <m> sections, ...' sentence"
+        keys, sections, listed = found.groups()
+        assert int(keys) == sum(len(k) for _, k in config_mod._SECTIONS.values())
+        assert int(sections) == len(config_mod._SECTIONS)
+        assert re.findall(r"`\[(\w+)\]`", listed) == list(config_mod._SECTIONS)
+
     def test_data_pip_size_is_the_synthetic_unit(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[data]\npip_size = 1e-2\n[regime]\nstart_price = 110\n")
@@ -483,7 +482,6 @@ class TestConfigFile:
                 2.5, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
             ),
             split=SplitConfig(cutoff=1609459200, cutoff_fraction=None),
-            indicators=IndicatorParams(10, 30, 7, 15, 1.5, (3, 6), (7,), (9, 11), (8,)),
             zigzag=ZigZagParams(8, 3.5, 2),
             events=EventConfig(4, 15),
             retrace=RetraceParams(2, 40),
@@ -502,8 +500,9 @@ class TestConfigFile:
         "text, match",
         [
             ("[grdi]\nkinds = lstm\n", r"unknown section \[grdi\]"),
-            # an older config may still hold this section
+            # an older config may still hold one of these sections
             ("[events]\ncausal_filter = false\n", r"unknown section \[events\], expected one of data, "),
+            ("[indicators]\nmacd_fast = 12\n", r"unknown section \[indicators\], expected one of data, "),
             ("[training]\nmax_epoch = 5\n", r"\[training\] unknown key 'max_epoch'"),
             ("[training]\nlr = fast\n", r"\[training\] lr: "),
             ("[output]\nsave_models = maybe\n", r"\[output\] save_models: "),
@@ -522,6 +521,11 @@ class TestConfigFile:
             ("[grid]\nkinds =\n", r"\[grid\] kinds and timesteps must each name at least one value"),
             ("[regime]\ntrend = sideways\n", r"\[regime\] unknown trend mode 'sideways'"),
             ("[regime]\nnotch_recover_bars = 0\n", r"\[regime\] notch_recover_bars must be >= 1"),
+            ("[regime]\nnotch_frac = -1,-0.5\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(-1.0, -0.5\)"),
+            ("[regime]\nnotch_frac = 5,6\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(5.0, 6.0\)"),
+            ("[regime]\nnotch_frac = 0.6,0.4\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(0.6, 0.4\)"),
+            ("[regime]\nnotch_retrace = -1,-0.5\n", r"\[regime\] notch_retrace needs 0 < low <= high, got \(-1.0, -0.5\)"),
+            ("[regime]\nnotch_retrace = 0.9,0.5\n", r"\[regime\] notch_retrace needs 0 < low <= high, got \(0.9, 0.5\)"),
             ("[crossover]\nfast = 0\n", r"\[crossover\] need 1 <= fast < slow, got fast 0 and slow 20"),
             ("[crossover]\nfast = 20\n", r"\[crossover\] need 1 <= fast < slow, got fast 20 and slow 20"),
             ("[crossover]\nslow = 3\n", r"\[crossover\] need 1 <= fast < slow, got fast 5 and slow 3"),
@@ -540,8 +544,9 @@ class TestConfigFile:
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(str(path)) + ": " + match):
             load_config(path)
-        assert main(["experiment", "--config", str(path)]) == 2
+        assert main(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert re.match(f"error: {re.escape(str(path))}: {match}", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("section, key, default", float_keys())

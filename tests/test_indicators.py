@@ -3,9 +3,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
-from fxevent.errors import ConfigError, DataError
+from fxevent.errors import DataError
 from fxevent.indicators import (
-    IndicatorParams,
+    COLUMNS,
     adx,
     bollinger,
     ema,
@@ -83,10 +83,6 @@ class TestMacd:
         assert_matches(line, e_line, tol=1e-12)
         assert_matches(signal, e_signal, tol=1e-12)
         assert_matches(hist, e_hist, tol=1e-12)
-
-    def test_fast_must_beat_slow(self):
-        with pytest.raises(ConfigError):
-            IndicatorParams(macd_fast=26, macd_slow=12)
 
 
 class TestRsi:
@@ -224,7 +220,7 @@ CANONICAL_COLUMNS = [
 class TestFeatureMatrix:
     def test_column_names_and_count(self, small_synth):
         fm = feature_matrix(small_synth)
-        assert list(fm.columns) == CANONICAL_COLUMNS
+        assert fm.columns == COLUMNS == tuple(CANONICAL_COLUMNS)
         assert fm.values.shape == (len(small_synth), 28)
 
     def test_constant_series_degenerate_values(self):
@@ -249,9 +245,8 @@ class TestFeatureMatrix:
     def test_columns_equal_standalone_ops(self, small_synth):
         fm = feature_matrix(small_synth)
         c, h, l = small_synth.closes, small_synth.highs, small_synth.lows
-        params = IndicatorParams()
         col = {name: fm.values[:, i] for i, name in enumerate(fm.columns)}
-        line, signal, hist = macd(c, params)
+        line, signal, hist = macd(c)
         assert np.array_equal(col["macd"], line)
         assert np.array_equal(col["macd_signal"], signal)
         assert np.array_equal(col["macd_hist"], hist, equal_nan=True)
