@@ -10,8 +10,7 @@ import time
 from pathlib import Path
 
 from . import dataset as ds_mod
-from . import events as ev_mod
-from .config import DataConfig, EventConfig, ModelArch, load_config, write_example
+from .config import DataConfig, ModelArch, load_config, write_example
 from .errors import ConfigError, DataError
 from .experiment import detect_events, emit_predictions, run_experiment
 from .indicators import feature_matrix, save_features_csv
@@ -49,10 +48,7 @@ def cmd_features(args):
 
 def cmd_events(args):
     series = _load_series(args)
-    zigzag = ev_mod.ZigZagParams(args.depth, args.deviation_pips, args.backstep)
-    pivots, crosses, sequences, diags = detect_events(
-        series, zigzag, EventConfig(args.fast, args.slow), ev_mod.RetraceParams()
-    )
+    pivots, crosses, sequences, diags = detect_events(series)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "index", "timestamp", "price", "direction"])
@@ -78,9 +74,7 @@ def cmd_events(args):
 def cmd_dataset(args):
     series = _load_series(args)
     feats = feature_matrix(series)
-    _, _, sequences, _ = detect_events(
-        series, ev_mod.ZigZagParams(), EventConfig(args.fast, args.slow), ev_mod.RetraceParams()
-    )
+    _, _, sequences, _ = detect_events(series)
     samples, skipped = ds_mod.build_samples(feats, sequences, args.timesteps, series)
     if not samples:
         print("no samples survived windowing", file=sys.stderr)
@@ -188,19 +182,12 @@ def build_parser():
 
     p = sub.add_parser("events", help="dump pivots, crossovers and retracements")
     _add_series_args(p)
-    p.add_argument("--depth", type=int, default=ev_mod.ZigZagParams.depth)
-    p.add_argument("--deviation-pips", type=finite_float, default=ev_mod.ZigZagParams.deviation_pips)
-    p.add_argument("--backstep", type=int, default=ev_mod.ZigZagParams.backstep)
-    p.add_argument("--fast", type=int, default=EventConfig.cross_fast)
-    p.add_argument("--slow", type=int, default=EventConfig.cross_slow)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_events)
 
     p = sub.add_parser("dataset", help="build and serialize training windows")
     _add_series_args(p)
     p.add_argument("--timesteps", type=int, default=30)
-    p.add_argument("--fast", type=int, default=EventConfig.cross_fast)
-    p.add_argument("--slow", type=int, default=EventConfig.cross_slow)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_dataset)
 

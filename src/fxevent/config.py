@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .events import RetraceParams, ZigZagParams
 from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float, parse_timestamp
 from .nn.models import KINDS, ModelConfig, TrainHyper
 
@@ -53,18 +52,6 @@ class SplitConfig:
 
 
 @dataclass
-class EventConfig:
-    cross_fast: int = 5
-    cross_slow: int = 20
-
-    def __post_init__(self):
-        if not 1 <= self.cross_fast < self.cross_slow:
-            raise ConfigError(
-                f"need 1 <= fast < slow, got fast {self.cross_fast} and slow {self.cross_slow}"
-            )
-
-
-@dataclass
 class GridConfig:
     kinds: tuple[str, ...] = ("rnn", "lstm", "bilstm", "gru")
     timesteps: tuple[int, ...] = (30, 60)
@@ -101,9 +88,6 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     regime: RegimeParams = field(default_factory=RegimeParams)
     split: SplitConfig = field(default_factory=SplitConfig)
-    zigzag: ZigZagParams = field(default_factory=ZigZagParams)
-    events: EventConfig = field(default_factory=EventConfig)
-    retrace: RetraceParams = field(default_factory=RetraceParams)
     grid: GridConfig = field(default_factory=GridConfig)
     arch: ModelArch = field(default_factory=ModelArch)
     training: TrainHyper = field(default_factory=TrainHyper)
@@ -143,9 +127,6 @@ _SECTIONS = {
         "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
     )),
     "split": ("split", _keys("cutoff_fraction", "cutoff")),
-    "zigzag": ("zigzag", _keys("depth", "deviation_pips", "backstep")),
-    "crossover": ("events", _keys("fast=cross_fast", "slow=cross_slow")),
-    "retracement": ("retrace", _keys("local_radius", "lookahead")),
     "grid": ("grid", _keys("kinds", "timesteps")),
     "model": ("arch", _keys("layers", "hidden", "val_fraction")),
     "training": ("training", _keys("lr", "batch_size", "max_epochs", "patience", "clip_norm")),
@@ -231,7 +212,6 @@ _NOTES = {
     "regime.reversion_pips": "price-level pull toward start_price; 0 disables",
     "split.cutoff_fraction": "share of the series span before the cutoff",
     "split.cutoff": ("2019-01-01T00:00:00Z", "instead of cutoff_fraction (epoch seconds also accepted)"),
-    "crossover.fast": "EMA periods forming the confirmation crossover",
 }
 
 

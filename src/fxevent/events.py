@@ -4,6 +4,11 @@ A tradeable setup is the ordered triple
 
     pivot (trend turn)  ->  crossover (trend confirmation)  ->  retracement (entry target)
 
+The pipeline's event definition is fixed, with no config key or flag:
+`ZigZagParams()` and `RetraceParams()` at their defaults, and the crossover of
+the close's EMA(CROSS_FAST) and EMA(CROSS_SLOW). The kernels below take any
+parameters, so tests can sweep them.
+
 The ZigZag pivot semantics are pinned exactly so an independent brute-force
 re-derivation matches index for index:
 
@@ -44,6 +49,7 @@ BULLISH = "bullish"
 BEARISH = "bearish"
 UP = "up"
 DOWN = "down"
+CROSS_FAST, CROSS_SLOW = 5, 20  # EMA periods of the close whose crossover confirms a trend
 
 
 @dataclass(frozen=True)

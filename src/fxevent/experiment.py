@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import events as ev_mod
-from .config import EventConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .csvio import write_table
 from .errors import ConfigError
 from .indicators import ema, feature_matrix
@@ -78,18 +78,14 @@ def emit_predictions(samples, true, pred, path) -> None:
     )
 
 
-def detect_events(
-    series: CandleSeries,
-    zigzag: ev_mod.ZigZagParams,
-    events: EventConfig,
-    retrace: ev_mod.RetraceParams,
-) -> tuple[list, list, list, ev_mod.SequenceDiagnostics]:
-    """(pivots, crossovers, sequences, diagnostics): ZigZag pivots, the crossovers
-    of the fast- and slow-period close EMAs, and the setups assembled from them."""
-    pivots = ev_mod.zigzag(series, zigzag)
+def detect_events(series: CandleSeries) -> tuple[list, list, list, ev_mod.SequenceDiagnostics]:
+    """(pivots, crossovers, sequences, diagnostics) under the fixed event definition:
+    ZigZag pivots, the crossovers of the fast- and slow-period close EMAs, and the
+    setups assembled from them."""
+    pivots = ev_mod.zigzag(series)
     closes = series.closes
-    crosses = ev_mod.crossovers(ema(closes, events.cross_fast), ema(closes, events.cross_slow))
-    sequences, diags = ev_mod.assemble_sequences(pivots, crosses, series, retrace)
+    crosses = ev_mod.crossovers(ema(closes, ev_mod.CROSS_FAST), ema(closes, ev_mod.CROSS_SLOW))
+    sequences, diags = ev_mod.assemble_sequences(pivots, crosses, series)
     return pivots, crosses, sequences, diags
 
 
@@ -131,7 +127,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     series = _load_series(cfg)
     cutoff = resolve_cutoff(series, cfg)
     features = feature_matrix(series)
-    _, _, sequences, diags = detect_events(series, cfg.zigzag, cfg.events, cfg.retrace)
+    _, _, sequences, diags = detect_events(series)
 
     result.diagnostics = {
         "bars": len(series),
@@ -324,9 +320,6 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, datasets: di
             "data": asdict(cfg.data),
             "regime": asdict(cfg.regime),
             "split": asdict(cfg.split),
-            "zigzag": asdict(cfg.zigzag),
-            "events": asdict(cfg.events),
-            "retracement": asdict(cfg.retrace),
             "grid": asdict(cfg.grid),
             "model": asdict(cfg.arch),
             "training": asdict(cfg.training),

@@ -224,6 +224,14 @@ class RegimeParams:
             raise ConfigError("notch bar counts must be >= 0")
         if self.notch_down_bars > 0 and self.notch_recover_bars < 1:
             raise ConfigError("notch_recover_bars must be >= 1 when the counter-move is enabled")
+        # the longest leg with the earliest start holds the dip if any leg can; else no leg has one
+        start = max(1, round(self.leg_len[1] * self.notch_frac[0]))
+        if self.notch_down_bars > 0 and start + self.notch_down_bars + self.notch_recover_bars > self.leg_len[1]:
+            raise ConfigError(
+                f"the dip fits in no leg: it starts at bar {start} at the earliest (leg_len high x notch_frac "
+                f"low), and {start} + notch_down_bars {self.notch_down_bars} + notch_recover_bars "
+                f"{self.notch_recover_bars} > leg_len high {self.leg_len[1]}"
+            )
         if self.trend not in TRENDS:
             raise ConfigError(f"unknown trend mode {self.trend!r}")
 

@@ -17,7 +17,6 @@ from fxevent import experiment
 from fxevent.cli import build_parser, main
 from fxevent.config import (
     DataConfig,
-    EventConfig,
     ExperimentConfig,
     GridConfig,
     ModelArch,
@@ -26,9 +25,9 @@ from fxevent.config import (
     load_config,
     write_example,
 )
-from fxevent.dataset import Dataset, Sample, load_stats
+from fxevent.dataset import Dataset, Sample, load_dataset, load_stats
 from fxevent.errors import ConfigError
-from fxevent.events import TROUGH, RetraceParams, ZigZagParams
+from fxevent.events import TROUGH
 from fxevent.experiment import (
     baseline_persistence,
     cell_seed,
@@ -357,16 +356,6 @@ trend = up
 reversion_pips = 100
 [split]
 cutoff = 2021-01-01T00:00:00Z
-[zigzag]
-depth = 8
-deviation_pips = 3.5
-backstep = 2
-[crossover]
-fast = 4
-slow = 15
-[retracement]
-local_radius = 2
-lookahead = 40
 [grid]
 kinds = lstm, gru
 timesteps = 20
@@ -482,9 +471,6 @@ class TestConfigFile:
                 2.5, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
             ),
             split=SplitConfig(cutoff=1609459200, cutoff_fraction=None),
-            zigzag=ZigZagParams(8, 3.5, 2),
-            events=EventConfig(4, 15),
-            retrace=RetraceParams(2, 40),
             grid=GridConfig(("lstm", "gru"), (20,)),
             arch=ModelArch(1, 16, 0.2),
             training=TrainHyper(lr=0.01, batch_size=16, max_epochs=7, patience=3, clip_norm=1.0),
@@ -503,6 +489,9 @@ class TestConfigFile:
             # an older config may still hold one of these sections
             ("[events]\ncausal_filter = false\n", r"unknown section \[events\], expected one of data, "),
             ("[indicators]\nmacd_fast = 12\n", r"unknown section \[indicators\], expected one of data, "),
+            ("[zigzag]\ndepth = 12\n", r"unknown section \[zigzag\], expected one of data, "),
+            ("[crossover]\nfast = 5\n", r"unknown section \[crossover\], expected one of data, "),
+            ("[retracement]\nlookahead = 60\n", r"unknown section \[retracement\], expected one of data, "),
             ("[training]\nmax_epoch = 5\n", r"\[training\] unknown key 'max_epoch'"),
             ("[training]\nlr = fast\n", r"\[training\] lr: "),
             ("[output]\nsave_models = maybe\n", r"\[output\] save_models: "),
@@ -526,9 +515,9 @@ class TestConfigFile:
             ("[regime]\nnotch_frac = 0.6,0.4\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(0.6, 0.4\)"),
             ("[regime]\nnotch_retrace = -1,-0.5\n", r"\[regime\] notch_retrace needs 0 < low <= high, got \(-1.0, -0.5\)"),
             ("[regime]\nnotch_retrace = 0.9,0.5\n", r"\[regime\] notch_retrace needs 0 < low <= high, got \(0.9, 0.5\)"),
-            ("[crossover]\nfast = 0\n", r"\[crossover\] need 1 <= fast < slow, got fast 0 and slow 20"),
-            ("[crossover]\nfast = 20\n", r"\[crossover\] need 1 <= fast < slow, got fast 20 and slow 20"),
-            ("[crossover]\nslow = 3\n", r"\[crossover\] need 1 <= fast < slow, got fast 5 and slow 3"),
+            ("[regime]\nnotch_down_bars = 100\n", r"\[regime\] the dip fits in no leg: it starts at bar 24 at the "
+             r"earliest \(leg_len high x notch_frac low\), and 24 \+ notch_down_bars 100 \+ notch_recover_bars 3 "
+             r"> leg_len high 62"),
             ("[data]\nn = 0\n", r"\[data\] n must be >= 1, got 0"),
             ("[data]\npip_size = 0\n", r"\[data\] pip_size must be > 0, got 0.0"),
             ("[data]\nsource = csv\n", r"\[data\] source = csv requires a csv path"),
@@ -562,13 +551,13 @@ class TestConfigFile:
         path = tmp_path / "cfg.ini"
         path.write_text(
             "[grid]\nkinds = lstm\ntimesteps = 30\n"
-            "[zigzag]\ndepth = 9\n"
+            "[model]\nhidden = 9\n"
             "[split]\ncutoff = 2020-06-01T00:00:00Z\n"
             "[run]\nseed = 5\n"
         )
         cfg = load_config(path)
         assert cfg.grid.kinds == ("lstm",)
-        assert cfg.zigzag.depth == 9
+        assert cfg.arch.hidden == 9
         assert cfg.split.cutoff == 1590969600
         assert cfg.split.cutoff_fraction is None
         assert cfg.seed == 5
@@ -607,7 +596,7 @@ class TestCli:
         main(["synth", "--seed", "7", "--n", "3000", "--out", str(series_csv)])
         assert main(["events", "--csv", str(series_csv), "--out", str(tmp_path / "e.csv")]) == 0
         series = load_csv(series_csv, DataConfig.symbol)
-        _, _, sequences, _ = detect_events(series, ZigZagParams(), EventConfig(), RetraceParams())
+        _, _, sequences, _ = detect_events(series)
         with open(tmp_path / "e.csv", newline="") as fh:
             rows = [row for row in csv.DictReader(fh) if row["kind"] == "retracement"]
         assert len(rows) == len(sequences) > 0
@@ -646,6 +635,14 @@ class TestCli:
             main([command, f"{flag}={bad}"])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid finite_float value: '{bad}'" in capsys.readouterr().err
+
+    def test_readme_float_flags_match_parser(self):
+        # README lists the float flags by hand
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        found = re.search(r"Every float flag \((.*?)\)", readme)
+        assert found, "README lost its 'Every float flag (...)' sentence"
+        listed = re.findall(r"`(--[\w-]+)`", found.group(1))
+        assert sorted(listed) == sorted({param.values[1] for param in float_flags()})
 
     def test_train_then_evaluate(self, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -701,16 +698,50 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {match} must be >= 1, got 0")
         assert not model_path.exists()
 
-    @pytest.mark.parametrize("command", ["events", "dataset"])
-    def test_fast_not_below_slow_rejected(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("events", "--depth", "12"),
+            ("events", "--deviation-pips", "5.0"),
+            ("events", "--backstep", "3"),
+            ("events", "--fast", "5"),
+            ("events", "--slow", "20"),
+            ("dataset", "--fast", "5"),
+            ("dataset", "--slow", "20"),
+        ],
+    )
+    def test_removed_event_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        # the event definition is fixed: a script that still sets it stops, even at the old default
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "3", "--n", "1500", "--out", str(series_csv)])
         capsys.readouterr()
         out = tmp_path / "out"
-        args = [command, "--csv", str(series_csv), "--fast", "20", "--slow", "5", "--out", str(out)]
-        assert main(args) == 2
-        assert capsys.readouterr().err == "error: need 1 <= fast < slow, got fast 20 and slow 5\n"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--csv", str(series_csv), flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+
+    def test_stage_commands_see_the_experiment_events(self, tmp_path):
+        series_csv = tmp_path / "series.csv"
+        main(["synth", "--seed", "7", "--n", "2600", "--out", str(series_csv)])
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            f"[data]\nsource = csv\ncsv = {series_csv}\n"
+            "[grid]\nkinds = rnn\ntimesteps = 30\n"
+            "[model]\nhidden = 4\n"
+            "[training]\nmax_epochs = 1\n"
+            f"[output]\ndir = {tmp_path / 'exp'}\n"
+        )
+        assert main(["experiment", "--config", str(cfg_path)]) == 0
+        assert main(["events", "--csv", str(series_csv), "--out", str(tmp_path / "e.csv")]) == 0
+        assert main(["dataset", "--csv", str(series_csv), "--timesteps", "30", "--out", str(tmp_path / "ds")]) == 0
+        manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+        with open(tmp_path / "e.csv", newline="") as fh:
+            retracements = sum(row["kind"] == "retracement" for row in csv.DictReader(fh))
+        assert retracements == manifest["diagnostics"]["sequences"] > 0
+        counts = manifest["datasets"]["30"]
+        assert len(load_dataset(tmp_path / "ds")) == counts["train"] + counts["test"]
 
     def test_stats_feature_count_mismatch(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
