@@ -12,24 +12,19 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float, parse_timestamp
+from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float
 from .nn.models import KINDS, ModelConfig, TrainHyper
 
 
 @dataclass
 class DataConfig:
-    source: str = "synthetic"  # "synthetic" | "csv"
-    csv_path: str = ""
+    csv_path: str = ""  # the candle CSV; empty: the synthetic series
     symbol: str = "SYN"
     pip_size: float = DEFAULT_PIP_SIZE
     synth_seed: int = 7
     synth_n: int = 5000
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "csv"):
-            raise ConfigError(f"source must be synthetic or csv, got {self.source!r}")
-        if self.source == "csv" and not self.csv_path:
-            raise ConfigError("source = csv requires a csv path")
         if self.synth_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.synth_seed}")
         if self.synth_n < 1:
@@ -40,14 +35,11 @@ class DataConfig:
 
 @dataclass
 class SplitConfig:
-    # Exactly one of the two: an absolute cutoff, or a fraction of the series span.
-    cutoff: int | None = None
-    cutoff_fraction: float | None = 0.8
+    # the share of the bars before the first test bar
+    cutoff_fraction: float = 0.8
 
     def __post_init__(self):
-        if (self.cutoff is None) == (self.cutoff_fraction is None):
-            raise ConfigError("set exactly one of cutoff and cutoff_fraction")
-        if self.cutoff_fraction is not None and not 0.0 < self.cutoff_fraction < 1.0:
+        if not 0.0 < self.cutoff_fraction < 1.0:
             raise ConfigError(f"cutoff_fraction must be in (0, 1), got {self.cutoff_fraction}")
 
 
@@ -121,12 +113,12 @@ def _keys(*specs):
 # itself; {INI key: field}). These are the only settable keys, in the order the
 # example config prints them.
 _SECTIONS = {
-    "data": ("data", _keys("source", "csv=csv_path", "symbol", "pip_size", "seed=synth_seed", "n=synth_n")),
+    "data": ("data", _keys("csv=csv_path", "symbol", "pip_size", "seed=synth_seed", "n=synth_n")),
     "regime": ("regime", _keys(
         "start_price", "leg_len", "slope_pips", "notch_frac", "notch_retrace", "notch_down_bars",
         "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
     )),
-    "split": ("split", _keys("cutoff_fraction", "cutoff")),
+    "split": ("split", _keys("cutoff_fraction")),
     "grid": ("grid", _keys("kinds", "timesteps")),
     "model": ("arch", _keys("layers", "hidden", "val_fraction")),
     "training": ("training", _keys("lr", "batch_size", "max_epochs", "patience", "clip_norm")),
@@ -139,14 +131,9 @@ _GETTERS = {bool: "getboolean", int: "getint", float: "getfloat", str: "get"}
 
 def _parse(parser, section, key, default):
     """The value of `key`, typed like the field's default; a tuple default takes a comma list."""
-    raw = parser.get(section, key)
-    if section == "split":  # a timestamp cutoff or a fraction; an empty value counts as absent
-        if not raw:
-            return None
-        return parse_timestamp(raw) if key == "cutoff" else finite_float(raw)
     if isinstance(default, tuple):
         kind = finite_float if isinstance(default[0], float) else type(default[0])
-        return tuple(kind(v.strip()) for v in raw.split(",") if v.strip())
+        return tuple(kind(v.strip()) for v in parser.get(section, key).split(",") if v.strip())
     return getattr(parser, _GETTERS[type(default)])(section, key)
 
 
@@ -181,9 +168,6 @@ def load_config(path) -> ExperimentConfig:
                 changes[fields[key]] = _parse(parser, section, key, getattr(target, fields[key]))
             except (ValueError, DataError, configparser.Error) as exc:
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
-        if section == "split" and changes.get("cutoff_fraction") is None:
-            # a cutoff alone replaces the default fraction
-            changes["cutoff_fraction"] = None if changes.get("cutoff") is not None else target.cutoff_fraction
         try:
             target = replace(target, **changes)
         except ConfigError as exc:
@@ -195,11 +179,9 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-# "section.key" -> the note printed after the key in the example config. A key
-# that is unset by default maps to (example value, note) and is printed commented out.
+# "section.key" -> the note printed after the key in the example config
 _NOTES = {
-    "data.source": "synthetic | csv",
-    "data.csv": ("path/to/series.csv", ""),
+    "data.csv": "candle CSV path; empty: the synthetic series",
     "data.pip_size": "price of one pip, the unit of every *_pips key",
     "data.seed": "synthetic generator seed",
     "data.n": "synthetic bar count",
@@ -210,8 +192,7 @@ _NOTES = {
     "regime.notch_down_bars": "0 disables the dip",
     "regime.trend": "alternate | up | down",
     "regime.reversion_pips": "price-level pull toward start_price; 0 disables",
-    "split.cutoff_fraction": "share of the series span before the cutoff",
-    "split.cutoff": ("2019-01-01T00:00:00Z", "instead of cutoff_fraction (epoch seconds also accepted)"),
+    "split.cutoff_fraction": "share of the bars before the first test bar",
 }
 
 
@@ -224,14 +205,10 @@ def example_config() -> str:
         target = getattr(cfg, attr) if attr else cfg
         for key, name in keys.items():
             note = _NOTES.get(f"{section}.{key}", "")
-            if isinstance(note, tuple):
-                example, note = note
-                line = f"# {key} = {example}"
-            else:  # tuples comma-joined, bools in lower case
-                value = getattr(target, name)
-                if isinstance(value, tuple):
-                    value = ",".join(map(str, value))
-                line = f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
+            value = getattr(target, name)  # tuples comma-joined, bools in lower case
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            line = f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
             lines.append(f"{line:<25} ; {note}" if note else line)
     return "\n".join(lines) + "\n"
 

@@ -49,11 +49,8 @@ def cell_seed(global_seed: int, kind: str, n_timesteps: int) -> int:
 
 
 def resolve_cutoff(series: CandleSeries, cfg: ExperimentConfig) -> int:
-    if cfg.split.cutoff is not None:
-        return int(cfg.split.cutoff)
-    frac = cfg.split.cutoff_fraction
-    idx = min(len(series) - 1, max(0, int(len(series) * frac)))
-    return int(series.timestamps[idx])
+    """Timestamp of the first test bar: the bar at `cutoff_fraction` of the series' bar count."""
+    return int(series.timestamps[int(len(series) * cfg.split.cutoff_fraction)])
 
 
 def baseline_persistence(ds: ds_mod.Dataset, series: CandleSeries) -> np.ndarray:
@@ -113,19 +110,19 @@ class ExperimentResult:
 
 
 def _load_series(cfg: ExperimentConfig) -> CandleSeries:
-    if cfg.data.source == "csv":
+    if cfg.data.csv_path:
         return load_csv(cfg.data.csv_path, cfg.data.symbol, cfg.data.pip_size)
     return synthetic_series(cfg.data.synth_seed, cfg.data.synth_n, cfg.regime, cfg.data.symbol, cfg.data.pip_size)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
+    series = _load_series(cfg)
+    cutoff = resolve_cutoff(series, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ExperimentResult(out_dir=out_dir)
 
-    series = _load_series(cfg)
-    cutoff = resolve_cutoff(series, cfg)
     features = feature_matrix(series)
     _, _, sequences, diags = detect_events(series)
 

@@ -322,21 +322,13 @@ class TestWorkers:
 class TestResolveCutoff:
     def test_fraction(self, synth):
         cfg = ExperimentConfig()
-        cfg.split.cutoff = None
         cfg.split.cutoff_fraction = 0.8
         cutoff = resolve_cutoff(synth, cfg)
         assert cutoff == int(synth.timestamps[4000])
 
-    def test_explicit_wins(self, synth):
-        cfg = ExperimentConfig()
-        cfg.split.cutoff = 12345
-        cfg.split.cutoff_fraction = None
-        assert resolve_cutoff(synth, cfg) == 12345
-
 
 ALL_KEYS = """\
 [data]
-source = csv
 csv = x.csv
 symbol = EURUSD
 pip_size = 1e-2
@@ -355,7 +347,7 @@ wick_pips = 0.2
 trend = up
 reversion_pips = 100
 [split]
-cutoff = 2021-01-01T00:00:00Z
+cutoff_fraction = 0.7
 [grid]
 kinds = lstm, gru
 timesteps = 20
@@ -404,26 +396,19 @@ class TestConfigFile:
         assert asdict(load_config(path)) == asdict(ExperimentConfig())
 
     def test_example_lists_every_key(self):
-        # the example's commented-out alternatives count as listed
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        parser.read_string(re.sub(r"(?m)^# (\w+ =)", r"\1", example_config()))
+        parser.read_string(example_config())
         listed = {(s, k) for s in parser.sections() for k in parser[s]}
         accepted = {(s, k) for s, (_, keys) in config_mod._SECTIONS.items() for k in keys}
         assert listed == accepted
+        assert not any(re.match(r"#\s*\w+ =", line) for line in example_config().splitlines())
 
     def test_example_notes_name_keys(self):
         # a note cannot outlive its key
         accepted = {f"{s}.{k}" for s, (_, keys) in config_mod._SECTIONS.items() for k in keys}
         assert set(config_mod._NOTES) <= accepted
-        notes = [note[1] if isinstance(note, tuple) else note for note in config_mod._NOTES.values()]
         printed = [line.split(" ; ", 1)[1] for line in example_config().splitlines() if " ; " in line]
-        assert sorted(printed) == sorted(note for note in notes if note)
-
-    def test_example_comments_out_unset_keys(self):
-        lines = example_config().splitlines()
-        assert "# csv = path/to/series.csv" in lines
-        assert any(line.startswith("# cutoff = 2019-01-01T00:00:00Z ;") for line in lines)
-        assert not any(re.match(r"(csv|cutoff) =", line) for line in lines)
+        assert sorted(printed) == sorted(config_mod._NOTES.values())
 
     def test_every_field_has_exactly_one_key(self):
         # a field no key reaches is a setting only code can change; it belongs in a constant
@@ -437,6 +422,19 @@ class TestConfigFile:
             else:
                 settable.append((None, f.name))
         assert sorted(reached, key=str) == sorted(settable, key=str)
+
+    def test_every_default_has_a_type_the_reader_parses(self):
+        # `_parse` reads a str, int, float or bool by its type and a tuple as a comma list of its
+        # first element's type; a default of any other type (None, say) would need a branch of its own
+        cfg = ExperimentConfig()
+        for section, (attr, keys) in config_mod._SECTIONS.items():
+            target = getattr(cfg, attr) if attr else cfg
+            for key, name in keys.items():
+                default = getattr(target, name)
+                if isinstance(default, tuple):
+                    assert {type(v) for v in default} in ({str}, {int}, {float}), f"{section}.{key}"
+                else:
+                    assert type(default) in (str, int, float, bool), f"{section}.{key}"
 
     def test_readme_config_summary_matches_key_table(self):
         # README states the key and section counts and lists the sections by hand
@@ -461,16 +459,28 @@ class TestConfigFile:
         path.write_text(f"[data]\npip_size = 1e-2\n[output]\ndir = {tmp_path / 'out'}\n")
         assert main(["experiment", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "error: regime drove prices non-positive; raise start_price or lower slope\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body", [None, "timestamp,open,high,low,close\n60,1.1,1.0,1.1,1.1\n"])
+    def test_bad_csv_exits_2_before_any_output(self, tmp_path, capsys, body):
+        series_csv = tmp_path / "series.csv"
+        if body is not None:  # a bar whose high is below its open
+            series_csv.write_text(body)
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[data]\ncsv = {series_csv}\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert str(series_csv) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_every_key_sets_its_field(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(ALL_KEYS)
         expected = ExperimentConfig(
-            data=DataConfig("csv", "x.csv", "EURUSD", 1e-2, 3, 1234),
+            data=DataConfig("x.csv", "EURUSD", 1e-2, 3, 1234),
             regime=RegimeParams(
                 2.5, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
             ),
-            split=SplitConfig(cutoff=1609459200, cutoff_fraction=None),
+            split=SplitConfig(0.7),
             grid=GridConfig(("lstm", "gru"), (20,)),
             arch=ModelArch(1, 16, 0.2),
             training=TrainHyper(lr=0.01, batch_size=16, max_epochs=7, patience=3, clip_norm=1.0),
@@ -479,8 +489,6 @@ class TestConfigFile:
             save_models=True,
         )
         assert asdict(load_config(path)) == asdict(expected)
-        path.write_text(ALL_KEYS.replace("cutoff = 2021-01-01T00:00:00Z", "cutoff_fraction = 0.7"))
-        assert load_config(path).split == SplitConfig(cutoff=None, cutoff_fraction=0.7)
 
     @pytest.mark.parametrize(
         "text, match",
@@ -496,7 +504,7 @@ class TestConfigFile:
             ("[training]\nlr = fast\n", r"\[training\] lr: "),
             ("[output]\nsave_models = maybe\n", r"\[output\] save_models: "),
             ("[grid]\ntimesteps = 30,x\n", r"\[grid\] timesteps: "),
-            ("[split]\ncutoff = soon\n", r"\[split\] cutoff: "),
+            ("[split]\ncutoff_fraction =\n", r"\[split\] cutoff_fraction: "),
             ("[regime]\nleg_len = 5,6,7\n", r"\[regime\] leg_len expects two values"),
             ("[training]\nbatch_size = 0\n", r"\[training\] batch_size must be >= 1"),
             ("[training]\nmax_epochs = 0\n", r"\[training\] max_epochs must be >= 1"),
@@ -520,10 +528,10 @@ class TestConfigFile:
              r"> leg_len high 62"),
             ("[data]\nn = 0\n", r"\[data\] n must be >= 1, got 0"),
             ("[data]\npip_size = 0\n", r"\[data\] pip_size must be > 0, got 0.0"),
-            ("[data]\nsource = csv\n", r"\[data\] source = csv requires a csv path"),
-            ("[data]\nsource = parquet\n", r"\[data\] source must be synthetic or csv, got 'parquet'"),
+            # removed keys: the CSV is used when `csv` is set, and `cutoff_fraction` is the only split
+            ("[data]\nsource = csv\n", r"\[data\] unknown key 'source', expected one of csv, "),
+            ("[split]\ncutoff = 0\n", r"\[split\] unknown key 'cutoff', expected one of cutoff_fraction$"),
             ("[split]\ncutoff_fraction = 1.5\n", r"\[split\] cutoff_fraction must be in \(0, 1\), got 1.5"),
-            ("[split]\ncutoff = 0\ncutoff_fraction = 0.5\n", r"\[split\] set exactly one of cutoff and"),
             ("[training]\npatience = -1\n", r"\[training\] patience must be >= 0, got -1"),
             ("[training]\nclip_norm = -1\n", r"\[training\] clip_norm must be >= 0, got -1.0"),
         ],
@@ -552,14 +560,13 @@ class TestConfigFile:
         path.write_text(
             "[grid]\nkinds = lstm\ntimesteps = 30\n"
             "[model]\nhidden = 9\n"
-            "[split]\ncutoff = 2020-06-01T00:00:00Z\n"
+            "[split]\ncutoff_fraction = 0.6\n"
             "[run]\nseed = 5\n"
         )
         cfg = load_config(path)
         assert cfg.grid.kinds == ("lstm",)
         assert cfg.arch.hidden == 9
-        assert cfg.split.cutoff == 1590969600
-        assert cfg.split.cutoff_fraction is None
+        assert cfg.split.cutoff_fraction == 0.6
         assert cfg.seed == 5
 
     def test_bad_kind_rejected(self, tmp_path):
@@ -678,6 +685,12 @@ class TestCli:
         out = tmp_path / "config.example"
         assert main(["init-config", "--out", str(out)]) == 0
         assert load_config(out).validate() is not None
+        series_csv = tmp_path / "series.csv"
+        assert main(["synth", "--seed", "3", "--n", "1500", "--out", str(series_csv)]) == 0
+        out.write_text(re.sub(r"(?m)^csv = ", f"csv = {series_csv} ", out.read_text()))
+        cfg = load_config(out)
+        assert cfg.data.csv_path == str(series_csv)
+        assert len(experiment._load_series(cfg)) == 1500
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["features", "--csv", str(tmp_path / "missing.csv"),
@@ -727,7 +740,7 @@ class TestCli:
         main(["synth", "--seed", "7", "--n", "2600", "--out", str(series_csv)])
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(
-            f"[data]\nsource = csv\ncsv = {series_csv}\n"
+            f"[data]\ncsv = {series_csv}\nsymbol = EURGBP\n"
             "[grid]\nkinds = rnn\ntimesteps = 30\n"
             "[model]\nhidden = 4\n"
             "[training]\nmax_epochs = 1\n"
@@ -737,6 +750,8 @@ class TestCli:
         assert main(["events", "--csv", str(series_csv), "--out", str(tmp_path / "e.csv")]) == 0
         assert main(["dataset", "--csv", str(series_csv), "--timesteps", "30", "--out", str(tmp_path / "ds")]) == 0
         manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+        assert manifest["diagnostics"]["bars"] == 2600  # a set `csv` alone selects the file
+        assert json.loads((tmp_path / "exp" / "report.json").read_text())["symbol"] == "EURGBP"
         with open(tmp_path / "e.csv", newline="") as fh:
             retracements = sum(row["kind"] == "retracement" for row in csv.DictReader(fh))
         assert retracements == manifest["diagnostics"]["sequences"] > 0
