@@ -147,7 +147,7 @@ def save_stats(stats: NormStats, path) -> None:
 
 
 def stats_path(model_path) -> Path:
-    """The stats sidecar saved beside a model file: `m.model.txt` -> `m.model.stats.json`."""
+    """The stats sidecar saved beside a model file: `m.model.npz` -> `m.model.stats.json`."""
     return Path(model_path).with_suffix(".stats.json")
 
 
@@ -255,7 +255,8 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     call: each window is a read-only view of that block, and the field names
     are the feature names.
     The targets body goes through `csvio.read_rows` (empty lines skipped, `"`
-    quotes read), one row per sample in order, and its errors name the line.
+    quotes read), one row per sample in order, each target a close (finite and
+    > 0), and its errors name the line.
     Reloaded samples carry e2_index = -1: bar indices are not wire format.
     """
     windows_path = f"{prefix}_windows.npy"
@@ -285,12 +286,14 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
         except RowError as exc:
             raise ConfigError(f"{targets_path}: {exc}") from None
     ids = np.arange(len(meta))
-    bad = np.flatnonzero((meta["sample_id"] != ids) | (ids >= len(windows)) | ~np.isfinite(meta["target"]))
+    target = meta["target"]  # a close
+    bad = np.flatnonzero((meta["sample_id"] != ids) | (ids >= len(windows)) | ~np.isfinite(target) | (target <= 0))
     if bad.size:
         i = int(bad[0])
         key, line = int(meta["sample_id"][i]), line_of_row(targets_path, 1, i)
         if key == i < len(windows):
-            raise ConfigError(f"{targets_path}: non-finite target at line {line}")
+            fault = "non-positive" if np.isfinite(target[i]) else "non-finite"
+            raise ConfigError(f"{targets_path}: {fault} target at line {line}")
         expected = f"sample {i}" if i < len(windows) else "the end of the file"
         raise ConfigError(f"{targets_path}: line {line} holds sample {key}, expected {expected}")
     if len(meta) < len(windows):

@@ -186,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if cfg.save_models:
                 models_dir = out_dir / "models"
                 models_dir.mkdir(exist_ok=True)
-                model_path = models_dir / f"{stem}.model.txt"
+                model_path = models_dir / f"{stem}.model.npz"
                 save_model(model, model_path)
                 ds_mod.save_stats(split["stats"], ds_mod.stats_path(model_path))
         except Exception as exc:  # isolate the failing grid cell

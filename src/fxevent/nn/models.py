@@ -34,6 +34,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import struct
+import zipfile
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -584,73 +588,64 @@ def predict(model: RecurrentModel, ds: Dataset, stats: NormStats) -> np.ndarray:
     return invert_target(pred, stats)
 
 
-_MODEL_MAGIC = "fxevent-model v2"
+_MODEL_MAGIC = "fxevent-model v3"
+_ZIP_END = struct.Struct("<4s4H2LH")  # a zip file's end of central directory record
 
 
 def save_model(model: RecurrentModel, path) -> None:
-    """Text format: a config/fingerprint header, then one `name rows cols` block
-    per tensor with its row-major values at 17 significant digits."""
-    params = model.params()
-    with open(path, "w") as fh:
-        fh.write(_MODEL_MAGIC + "\n")
-        fh.write("config " + json.dumps(asdict(model.config), sort_keys=True) + "\n")
-        fh.write(f"stats_fingerprint {model.stats_fingerprint or '-'}\n")
-        fh.write(f"params {len(params)}\n")
-        for p in params:
-            mat = p.value if p.value.ndim == 2 else p.value.reshape(1, -1)
-            fh.write(f"{p.name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    """An uncompressed `.npz` archive: the strings magic, config and stats_fingerprint,
+    then one float64 array per parameter, under its name and at its shape."""
+    header = {"magic": _MODEL_MAGIC, "config": json.dumps(asdict(model.config), sort_keys=True),
+              "stats_fingerprint": model.stats_fingerprint or "-"}
+    with open(path, "wb") as fh:  # a file object, so numpy adds no `.npz` to the name
+        np.savez(fh, **header, **{p.name: p.value for p in model.params()})
+
+
+def _text(members, name, path) -> str:
+    """A header member's string; a missing or non-string member raises ConfigError naming the file."""
+    value = members.get(name)
+    if value is None or value.shape != () or value.dtype.kind != "U":
+        raise ConfigError(f"{path}: {name}: expected a string member")
+    return str(value)
 
 
 def load_model(path) -> RecurrentModel:
-    """Read a file written by save_model; any malformed line raises ConfigError naming the file."""
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != _MODEL_MAGIC:
-            raise ConfigError(f"{path}: not a model file (header {magic!r})")
-        cfg_line = fh.readline().strip()
-        if not cfg_line.startswith("config "):
-            raise ConfigError(f"{path}: missing config line")
+    """Read a file written by save_model; any fault raises ConfigError naming the file."""
+    with open(path, "rb") as fh:
         try:
-            config = ModelConfig(**json.loads(cfg_line[len("config ") :]))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}: bad config line: {exc}") from None
-        fp_line = fh.readline().split()
-        if len(fp_line) != 2 or fp_line[0] != "stats_fingerprint":
-            raise ConfigError(f"{path}: malformed stats_fingerprint line {' '.join(fp_line)!r}")
-        model = RecurrentModel(config)
-        params = model.params()
-        n_line = fh.readline().split()
-        if n_line != ["params", str(len(params))]:
-            raise ConfigError(
-                f"{path}: expected 'params {len(params)}', got {' '.join(n_line)!r}"
-            )
-        for p in params:
-            header = fh.readline().split()
-            if len(header) != 3 or not (header[1].isdigit() and header[2].isdigit()):
-                raise ConfigError(f"{path}: bad parameter header while loading {p.name}: {header}")
-            name, rows, cols = header[0], int(header[1]), int(header[2])
-            if name != p.name:
-                raise ConfigError(
-                    f"{path}: parameter order mismatch: file has {name}, model expects {p.name}"
-                )
-            if rows * cols != p.value.size:
-                raise ConfigError(f"{path}: {name}: file holds {rows}x{cols}, model expects {p.value.shape}")
-            data = np.empty((rows, cols))
-            for r in range(rows):
-                fields = fh.readline().split()
-                if len(fields) != cols:
-                    raise ConfigError(f"{path}: {name}: row {r} holds {len(fields)} values, expected {cols}")
-                try:
-                    data[r] = [float(v) for v in fields]
-                except ValueError:
-                    raise ConfigError(f"{path}: {name}: non-numeric value in row {r}") from None
-                if not np.isfinite(data[r]).all():
-                    raise ConfigError(f"{path}: {name}: non-finite value in row {r}")
-            p.value[...] = data.reshape(p.value.shape)
-        if fh.read().strip():
-            raise ConfigError(f"{path}: text after the last parameter block")
-        if fp_line[1] != "-":
-            model.stats_fingerprint = fp_line[1]
+            npz = np.load(fh, allow_pickle=False)
+            names = getattr(npz, "files", [])  # none in a plain .npy
+            members = {name: npz[name] for name in names}
+        except (ValueError, EOFError, zipfile.BadZipFile):  # a text file, a truncated archive, ...
+            raise ConfigError(f"{path}: not a model file (not a readable npz archive)") from None
+        magic = str(members.get("magic"))
+        if magic != _MODEL_MAGIC:
+            raise ConfigError(f"{path}: not a model file (magic {magic!r})")
+        # zipfile reads an archive with bytes before or after it, such as a second copy:
+        # here its end record must be the file's last bytes, right after the central directory
+        end = fh.seek(-_ZIP_END.size, os.SEEK_END)
+        signature, *_, cd_size, cd_offset, comment_size = _ZIP_END.unpack(fh.read())
+        if (signature, comment_size, cd_offset + cd_size) != (b"PK\x05\x06", 0, end):
+            raise ConfigError(f"{path}: bytes before or after the archive")
+    config_json, fingerprint = _text(members, "config", path), _text(members, "stats_fingerprint", path)
+    try:
+        config = ModelConfig(**json.loads(config_json))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: bad config member: {exc}") from None
+    model = RecurrentModel(config)
+    found = Counter(names)
+    wanted = Counter(["magic", "config", "stats_fingerprint"] + [p.name for p in model.params()])
+    if found != wanted:
+        raise ConfigError(f"{path}: members do not match a {config.kind} model: "
+                          f"missing {sorted(wanted - found)}, extra {sorted(found - wanted)}")
+    for p in model.params():
+        value = members[p.name]
+        if value.dtype != np.float64 or value.shape != p.value.shape:
+            raise ConfigError(f"{path}: {p.name}: file holds {value.dtype} {value.shape}, "
+                              f"model expects float64 {p.value.shape}")
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{path}: {p.name}: non-finite value")
+        p.value[...] = value
+    if fingerprint != "-":
+        model.stats_fingerprint = fingerprint
     return model

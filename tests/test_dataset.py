@@ -267,7 +267,7 @@ class TestSerialization:
             lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(1, 3)),
                              elements=st.floats(allow_nan=False, allow_infinity=False))
         ),
-        targets=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+        targets=st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=4, max_size=4),  # closes
         # commas, quotes, backslashes, control and latin-1 letters, all of which the header must carry
         names=st.lists(st.text(st.characters(max_codepoint=255), min_size=1),
                        min_size=3, max_size=3, unique=True),
@@ -367,8 +367,15 @@ class TestSerialization:
         ) + "$"):
             load_dataset(tmp_path / "e")
 
-    @pytest.mark.parametrize("name, line, value", [("windows", 3, "nan"), ("targets", 2, "inf")])
-    def test_non_finite_value_names_file(self, rng, tmp_path, name, line, value):
+    @pytest.mark.parametrize("name, line, value, message", [
+        ("windows", 3, "nan", "non-finite value in sample 0 at timestep 1, feature f2"),
+        ("targets", 2, "inf", "non-finite target at line 2"),
+        # a target is a close: a negative one would score a negative MAPE, a zero one an undefined MAPE
+        ("targets", 3, "-1.1", "non-positive target at line 3"),
+        ("targets", 3, "0.0", "non-positive target at line 3"),
+        ("targets", 3, "-0.0", "non-positive target at line 3"),
+    ])
+    def test_bad_value_names_file(self, rng, tmp_path, name, line, value, message):
         # `line` counts as the text files did: the windows file's line 3 held sample 0 timestep 1
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "n")
         if name == "windows":
@@ -382,7 +389,7 @@ class TestSerialization:
             lines = path.read_text().splitlines(keepends=True)
             lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
             path.write_text("".join(lines))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: non-finite")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}") + "$"):
             load_dataset(tmp_path / "n")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -539,7 +546,7 @@ class TestSerialization:
         data=st.data(),
     )
     def test_blank_lines_and_line_ends_load_bitwise(self, tmp_path_factory, windows, eol, data):
-        samples = tuple(Sample(w, float(i) / 3, -1, i, 2 * i) for i, w in enumerate(windows))
+        samples = tuple(Sample(w, float(i + 1) / 3, -1, i, 2 * i) for i, w in enumerate(windows))
         prefix = tmp_path_factory.mktemp("bl") / "ds"
         save_dataset(Dataset(samples, windows.shape[1], "train"), prefix)
         path = Path(f"{prefix}_targets.csv")
@@ -550,7 +557,7 @@ class TestSerialization:
         path.write_bytes(eol.join([header, *rows, ""]).encode())
         back = load_dataset(prefix)
         assert back.windows().tobytes() == windows.tobytes()
-        assert back.targets().tobytes() == np.array([float(i) / 3 for i in range(len(windows))]).tobytes()
+        assert back.targets().tobytes() == np.array([float(i + 1) / 3 for i in range(len(windows))]).tobytes()
         assert [(s.e2_ts, s.e3_ts) for s in back.samples] == [(i, 2 * i) for i in range(len(windows))]
 
     @pytest.mark.parametrize("at, error", [

@@ -656,7 +656,7 @@ class TestCli:
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
         main(["dataset", "--csv", str(series_csv), "--timesteps", "16",
               "--out", str(tmp_path / "ds")])
-        model_path = tmp_path / "m.model.txt"
+        model_path = tmp_path / "m.model.npz"
         assert main([
             "train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "6",
             "--epochs", "3", "--out", str(model_path),
@@ -700,13 +700,19 @@ class TestCli:
         assert main(["train", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path / "m.txt")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_missing_model_exit_code(self, tmp_path, capsys):
+        model_path = tmp_path / "missing.model.npz"
+        assert main(["evaluate", "--model", str(model_path), "--dataset", str(tmp_path / "ds"),
+                     "--out-dir", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{model_path}'\n"
+
     @pytest.mark.parametrize("flag, match", [("--batch-size", "batch_size"), ("--epochs", "max_epochs")])
     def test_train_rejects_zero_setting(self, tmp_path, capsys, flag, match):
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
         main(["dataset", "--csv", str(series_csv), "--timesteps", "16", "--out", str(tmp_path / "ds")])
         capsys.readouterr()
-        model_path = tmp_path / "m.model.txt"
+        model_path = tmp_path / "m.model.npz"
         assert main(["train", "--dataset", str(tmp_path / "ds"), flag, "0", "--out", str(model_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {match} must be >= 1, got 0")
         assert not model_path.exists()
@@ -762,7 +768,7 @@ class TestCli:
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
         main(["dataset", "--csv", str(series_csv), "--timesteps", "16", "--out", str(tmp_path / "ds")])
-        model_path = tmp_path / "m.model.txt"
+        model_path = tmp_path / "m.model.npz"
         main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
               "--epochs", "1", "--out", str(model_path)])
         stats_path = tmp_path / "five.stats.json"
@@ -781,7 +787,7 @@ class TestCli:
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
         for t in (10, 12):
             main(["dataset", "--csv", str(series_csv), "--timesteps", str(t), "--out", str(tmp_path / f"ds{t}")])
-        model_path = tmp_path / "m.model.txt"
+        model_path = tmp_path / "m.model.npz"
         main(["train", "--dataset", str(tmp_path / "ds10"), "--kind", "rnn", "--hidden", "4",
               "--epochs", "1", "--out", str(model_path)])
         capsys.readouterr()
@@ -795,7 +801,7 @@ class TestCli:
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "3", "--n", "2000", "--out", str(series_csv)])
         main(["dataset", "--csv", str(series_csv), "--timesteps", "16", "--out", str(tmp_path / "ds")])
-        model_path = tmp_path / "m.model.txt"
+        model_path = tmp_path / "m.model.npz"
         main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
               "--epochs", "1", "--out", str(model_path)])
         stats = json.loads((tmp_path / "m.model.stats.json").read_text())
@@ -822,11 +828,11 @@ class TestCli:
         )
         assert main(["experiment", "--config", str(cfg_path)]) == 0
         models = tmp_path / "out" / "models"
-        assert sorted(p.name for p in models.iterdir()) == ["lstm_20.model.stats.json", "lstm_20.model.txt"]
+        assert sorted(p.name for p in models.iterdir()) == ["lstm_20.model.npz", "lstm_20.model.stats.json"]
         series_csv = tmp_path / "series.csv"
         main(["synth", "--n", "2600", "--out", str(series_csv)])
         main(["dataset", "--csv", str(series_csv), "--timesteps", "20", "--out", str(tmp_path / "ds")])
-        assert main(["evaluate", "--model", str(models / "lstm_20.model.txt"),
+        assert main(["evaluate", "--model", str(models / "lstm_20.model.npz"),
                      "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 0
         assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["model"] == "lstm"
 

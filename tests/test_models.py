@@ -1,3 +1,5 @@
+import hashlib
+import io
 import pickle
 import re
 import tempfile
@@ -555,6 +557,67 @@ class TestChunkedInference:
         assert runs[0] == runs[1]
 
 
+# the golden model file's bytes: numpy's .npy headers inside Python's zipfile layout, entries dated 1980-01-01
+GOLDEN_SHA256 = "c42e2a49df73f2fc0c20f8c68d632a3a7a3f87f03eb92901de952c5a4c45fc1e"
+
+
+def _members(change):
+    """A file mutation that rewrites the archive with `change` applied to its members."""
+    def mutate(data):
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        change(members)
+        out = io.BytesIO()
+        np.savez(out, **members)
+        return out.getvalue()
+    return mutate
+
+
+def _flip_byte_of(name):
+    """A file mutation that flips one stored byte of a tensor, which the zip CRC catches."""
+    def mutate(data):
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            at = data.index(npz[name].tobytes())
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+    return mutate
+
+
+def _set_nan(members):
+    members["layer0.U"] = members["layer0.U"].copy()
+    members["layer0.U"][1, 2] = np.nan
+
+
+# file mutation -> the message after "<path>: ", for a 1-layer RNN with 2 inputs and 4 hidden units
+MALFORMED = [
+    pytest.param(_members(lambda m: m.pop("layer0.U")),
+                 "members do not match a rnn model: missing ['layer0.U'], extra []", id="missing_member"),
+    pytest.param(_members(lambda m: m.update({"layer0.V": np.zeros((4, 4))})),
+                 "members do not match a rnn model: missing [], extra ['layer0.V']", id="extra_member"),
+    pytest.param(_members(lambda m: m.update({"layer0.W": m["layer0.W"].reshape(4, 2)})),
+                 "layer0.W: file holds float64 (4, 2), model expects float64 (2, 4)", id="wrong_shape"),
+    pytest.param(_members(lambda m: m.update({"layer0.W": m["layer0.W"].astype(np.float32)})),
+                 "layer0.W: file holds float32 (2, 4), model expects float64 (2, 4)", id="float32_tensor"),
+    pytest.param(_members(_set_nan), "layer0.U: non-finite value", id="nan"),
+    pytest.param(_members(lambda m: m.update({"config": "{not json"})), "bad config member: ", id="config_not_json"),
+    pytest.param(_members(lambda m: m.update({"config": str(m["config"]).replace('"rnn"', '"tcn"')})),
+                 "bad config member: unknown model kind 'tcn'", id="config_rule"),
+    pytest.param(_members(lambda m: m.update({"stats_fingerprint": np.float64(1.5)})),
+                 "stats_fingerprint: expected a string member", id="fingerprint_not_a_string"),
+    pytest.param(_members(lambda m: m.update({"magic": "fxevent-model v2"})),
+                 "not a model file (magic 'fxevent-model v2')", id="wrong_magic"),
+    pytest.param(lambda data: b"fxevent-model v2\nconfig {}\nstats_fingerprint -\nparams 5\n",
+                 "not a model file (not a readable npz archive)", id="v2_text_file"),
+    pytest.param(lambda data: b"fxevent-model v1\nconfig {}\n", "not a model file (not a readable npz archive)",
+                 id="v1_text_file"),
+    pytest.param(lambda data: b"", "not a model file (not a readable npz archive)", id="empty_file"),
+    pytest.param(lambda data: data + b"junk", "bytes before or after the archive", id="appended_bytes"),
+    pytest.param(lambda data: data + data, "bytes before or after the archive", id="written_twice"),
+    pytest.param(lambda data: data[: len(data) // 2], "not a model file (not a readable npz archive)",
+                 id="truncated"),
+    pytest.param(_flip_byte_of("layer0.W"), "not a model file (not a readable npz archive)", id="damaged_member"),
+]
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_predictions(self, rng, tmp_path):
         ds = make_dataset(rng, 15)
@@ -562,7 +625,7 @@ class TestSaveLoad:
         normed = apply_norm(ds, stats)
         cfg = ModelConfig(kind="bilstm", n_timesteps=6, input_dim=5, layers=2, hidden=4, seed=6)
         model, _ = train(normed, 0.1, cfg, TrainHyper(max_epochs=3))
-        path = tmp_path / "m.model.txt"
+        path = tmp_path / "m.model.npz"
         save_model(model, path)
         clone = load_model(path)
         assert clone.config == model.config
@@ -588,7 +651,7 @@ class TestSaveLoad:
             p.value[...] = rng.standard_normal(p.value.shape) * 10.0 ** rng.integers(-310, 300, p.value.shape)
         model.params()[-1].value.flat[0] = -0.0
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.model.txt"
+            path = Path(tmp) / "m.model.npz"
             save_model(model, path)
             clone = load_model(path)
         assert clone.config == model.config
@@ -604,78 +667,39 @@ class TestSaveLoad:
         cfg = ModelConfig(kind="gru", n_timesteps=5, input_dim=3, layers=3, hidden=2, seed=11)
         # every field is off its default, so one the header dropped would load back changed
         assert all(getattr(cfg, f.name) != f.default for f in fields(ModelConfig))
-        path = tmp_path / "m.model.txt"
+        path = tmp_path / "m.model.npz"
         save_model(RecurrentModel(cfg), path)
         assert load_model(path).config == cfg
 
     def test_golden_bytes(self, tmp_path):
         model = RecurrentModel(ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=1))
-        # 0.1 needs all 17 digits; the smallest subnormal and a negative zero too
-        for p, value in zip(model.params(), ([[0.1], [-2.5]], [[-0.0]], [5e-324], [[3.0]], [-0.5]), strict=True):
+        # 0.1, the smallest subnormal and a negative zero come back bit for bit
+        values = ([[0.1], [-2.5]], [[-0.0]], [5e-324], [[3.0]], [-0.5])
+        for p, value in zip(model.params(), values, strict=True):
             p.value[...] = value
         model.stats_fingerprint = "0123456789abcdef"
-        path = tmp_path / "m.model.txt"
+        path = tmp_path / "m.model.npz"
         save_model(model, path)
-        assert path.read_bytes() == (
-            b"fxevent-model v2\n"
-            b'config {"hidden": 1, "input_dim": 2, "kind": "rnn", "layers": 1, "n_timesteps": 3, "seed": 0}\n'
-            b"stats_fingerprint 0123456789abcdef\n"
-            b"params 5\n"
-            b"layer0.W 2 1\n0.10000000000000001\n-2.5\n"
-            b"layer0.U 1 1\n-0\n"
-            b"layer0.b 1 1\n4.9406564584124654e-324\n"
-            b"head.W 1 1\n3\n"
-            b"head.b 1 1\n-0.5\n"
-        )
+        with np.load(path, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        assert list(members) == ["magic", "config", "stats_fingerprint",
+                                 "layer0.W", "layer0.U", "layer0.b", "head.W", "head.b"]
+        assert {name: (str(members[name]), members[name].dtype.str) for name in list(members)[:3]} == {
+            "magic": ("fxevent-model v3", "<U16"),
+            "config": ('{"hidden": 1, "input_dim": 2, "kind": "rnn", "layers": 1, "n_timesteps": 3, "seed": 0}',
+                       "<U86"),
+            "stats_fingerprint": ("0123456789abcdef", "<U16"),
+        }
+        for (name, value), expected in zip(list(members.items())[3:], values, strict=True):
+            expected = np.array(expected)
+            assert (value.dtype.str, value.shape, value.tobytes()) == ("<f8", expected.shape, expected.tobytes()), name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
 
-    def test_order_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("mutate, message", MALFORMED)
+    def test_malformed_file_names_path(self, tmp_path, mutate, message):
         cfg = ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=4, seed=0)
-        path = tmp_path / "m.model.txt"
+        path = tmp_path / "m.model.npz"
         save_model(RecurrentModel(cfg), path)
-        path.write_text(path.read_text().replace("layer0.U 4 4", "layer0.V 4 4"))
-        expected = f"{path}: parameter order mismatch: file has layer0.V, model expects layer0.U"
-        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
-            load_model(path)
-
-    def test_blocks_written_twice_rejected(self, tmp_path):
-        cfg = ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=4, seed=0)
-        path = tmp_path / "m.model.txt"
-        save_model(RecurrentModel(cfg), path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines + lines[4:]))
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: text after the last parameter block')}$"):
-            load_model(path)
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ConfigError):
-            load_model(path)
-
-    def test_v1_file_rejected_as_not_a_model_file(self, tmp_path):
-        path = tmp_path / "old.model.txt"
-        path.write_text("fxevent-model v1\nconfig {}\n")
-        with pytest.raises(ConfigError, match=r"old\.model\.txt: not a model file \(header 'fxevent-model v1'\)$"):
-            load_model(path)
-
-    @pytest.mark.parametrize(
-        "line, replacement",
-        [
-            (2, "stats_fingerprint"),  # fingerprint value missing
-            (3, "params two"),  # non-integer parameter count
-            (5, "0.5 0.25"),  # ragged row: W has 4 columns
-            (5, "0.5 0.25 x 1"),  # non-numeric value
-            (5, "0.5 0.25 nan 1"),  # non-finite value
-            (1, "config {not json"),
-            (21, "junk"),  # a line past the 21 the file holds
-        ],
-    )
-    def test_malformed_file_names_path(self, tmp_path, line, replacement):
-        cfg = ModelConfig(kind="rnn", n_timesteps=3, input_dim=2, layers=1, hidden=4, seed=0)
-        path = tmp_path / "m.model.txt"
-        save_model(RecurrentModel(cfg), path)
-        lines = path.read_text().splitlines()
-        lines[line : line + 1] = [replacement]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match=re.escape(str(path))):
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_model(path)
