@@ -14,7 +14,7 @@ from .config import DataConfig, ModelArch, load_config, write_example
 from .errors import ConfigError, DataError
 from .experiment import detect_events, emit_predictions, run_experiment
 from .indicators import feature_matrix, save_features_csv
-from .market_data import DEFAULT_PIP_SIZE, TRENDS, RegimeParams, finite_float, load_csv, save_csv, synthetic_series
+from .market_data import DEFAULT_PIP_SIZE, finite_float, load_csv, save_csv, synthetic_series
 from .metrics import MetricsReport
 from .nn.models import KINDS, ModelConfig, TrainHyper, load_model, predict, save_model, train
 
@@ -30,8 +30,7 @@ def _load_series(args):
 
 
 def cmd_synth(args):
-    regime = RegimeParams(trend=args.trend, noise_pips=args.noise_pips)
-    series = synthetic_series(args.seed, args.n, regime, args.symbol)
+    series = synthetic_series(args.seed, args.n, symbol=args.symbol)
     save_csv(series, args.out)
     print(f"wrote {len(series)} candles to {args.out}")
     return 0
@@ -113,7 +112,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model = load_model(args.model)
-    stats_path = args.stats or ds_mod.stats_path(args.model)
+    stats_path = ds_mod.stats_path(args.model)
     stats = ds_mod.load_stats(stats_path)
     ds = ds_mod.load_dataset(args.dataset, role="test")
     if (ds.n_timesteps, ds.n_features) != (model.config.n_timesteps, model.config.input_dim):
@@ -170,8 +169,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=DataConfig.synth_seed)
     p.add_argument("--n", type=int, default=DataConfig.synth_n)
     p.add_argument("--symbol", default=DataConfig.symbol)
-    p.add_argument("--trend", default=RegimeParams.trend, choices=TRENDS)
-    p.add_argument("--noise-pips", type=finite_float, default=RegimeParams.noise_pips)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -207,7 +204,6 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="evaluate a trained model on a serialized dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--stats", default=None, help="stats JSON (defaults to <model>.stats.json)")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", default="eval_out")
     p.set_defaults(func=cmd_evaluate)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import ConfigError, DataError
 from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float
@@ -77,8 +78,9 @@ class ModelArch:
 
 @dataclass
 class ExperimentConfig:
+    # the fixed synthetic generator: a class constant, so no key sets it; bench/workloads.py reads `cfg.regime`
+    regime: ClassVar[RegimeParams] = RegimeParams()
     data: DataConfig = field(default_factory=DataConfig)
-    regime: RegimeParams = field(default_factory=RegimeParams)
     split: SplitConfig = field(default_factory=SplitConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     arch: ModelArch = field(default_factory=ModelArch)
@@ -114,10 +116,6 @@ def _keys(*specs):
 # example config prints them.
 _SECTIONS = {
     "data": ("data", _keys("csv=csv_path", "symbol", "pip_size", "seed=synth_seed", "n=synth_n")),
-    "regime": ("regime", _keys(
-        "start_price", "leg_len", "slope_pips", "notch_frac", "notch_retrace", "notch_down_bars",
-        "notch_recover_bars", "noise_pips", "wick_pips", "trend", "reversion_pips",
-    )),
     "split": ("split", _keys("cutoff_fraction")),
     "grid": ("grid", _keys("kinds", "timesteps")),
     "model": ("arch", _keys("layers", "hidden", "val_fraction")),
@@ -132,8 +130,7 @@ _GETTERS = {bool: "getboolean", int: "getint", float: "getfloat", str: "get"}
 def _parse(parser, section, key, default):
     """The value of `key`, typed like the field's default; a tuple default takes a comma list."""
     if isinstance(default, tuple):
-        kind = finite_float if isinstance(default[0], float) else type(default[0])
-        return tuple(kind(v.strip()) for v in parser.get(section, key).split(",") if v.strip())
+        return tuple(type(default[0])(v.strip()) for v in parser.get(section, key).split(",") if v.strip())
     return getattr(parser, _GETTERS[type(default)])(section, key)
 
 
@@ -182,16 +179,9 @@ def load_config(path) -> ExperimentConfig:
 # "section.key" -> the note printed after the key in the example config
 _NOTES = {
     "data.csv": "candle CSV path; empty: the synthetic series",
-    "data.pip_size": "price of one pip, the unit of every *_pips key",
+    "data.pip_size": "price of one pip; synthetic prices scale with it",
     "data.seed": "synthetic generator seed",
     "data.n": "synthetic bar count",
-    "regime.leg_len": "bars per trend leg (inclusive range)",
-    "regime.slope_pips": "per-bar drift magnitude",
-    "regime.notch_frac": "where in the leg the retracement dip starts",
-    "regime.notch_retrace": "fraction of the leg's gain given back",
-    "regime.notch_down_bars": "0 disables the dip",
-    "regime.trend": "alternate | up | down",
-    "regime.reversion_pips": "price-level pull toward start_price; 0 disables",
     "split.cutoff_fraction": "share of the bars before the first test bar",
 }
 

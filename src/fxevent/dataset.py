@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import RowError, format_rows, line_of_row, read_rows
+from .csvio import RowError, line_of_row, read_rows, write_table
 from .errors import ConfigError
 from .events import EventSequence
 from .indicators import FeatureMatrix
@@ -238,10 +238,9 @@ def save_dataset(ds: Dataset, prefix) -> None:
     with open(f"{prefix}_windows.npy", "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
         fh.writelines(np.ascontiguousarray(s.window, "<f8") for s in ds.samples)
-    with open(f"{prefix}_targets.csv", "w", newline="") as fh:
-        fh.write("sample_id,e2_ts,e3_ts,target\r\n")
-        keys = (f"{sid},{s.e2_ts},{s.e3_ts}" for sid, s in enumerate(ds.samples))
-        fh.write(format_rows(keys, np.reshape([s.target for s in ds.samples], (-1, 1))))
+    write_table(f"{prefix}_targets.csv", ["sample_id", "e2_ts", "e3_ts", "target"],
+                [f"{sid},{s.e2_ts},{s.e3_ts}" for sid, s in enumerate(ds.samples)],
+                np.reshape([s.target for s in ds.samples], (-1, 1)))
 
 
 _TARGET_ROW = np.dtype([("sample_id", np.int64), ("e2_ts", np.int64), ("e3_ts", np.int64), ("target", np.float64)])

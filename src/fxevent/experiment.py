@@ -37,14 +37,12 @@ from .errors import ConfigError
 from .indicators import ema, feature_matrix
 from .market_data import CandleSeries, load_csv, synthetic_series
 from .metrics import SCALED_HEADER, MetricsReport
-from .nn.models import _CELLS, ModelConfig, predict, save_model, train
-
-_KIND_CODES = {"rnn": 1, "lstm": 2, "bilstm": 3, "gru": 4}
+from .nn.models import _CELLS, KINDS, ModelConfig, predict, save_model, train
 
 
 def cell_seed(global_seed: int, kind: str, n_timesteps: int) -> int:
-    """Per-cell seed independent of grid composition: SeedSequence((seed, kind, n))."""
-    ss = np.random.SeedSequence((global_seed, _KIND_CODES[kind], n_timesteps))
+    """Per-cell seed independent of grid composition: SeedSequence((seed, kind code, n)), rnn 1 to gru 4."""
+    ss = np.random.SeedSequence((global_seed, KINDS.index(kind) + 1, n_timesteps))
     return int(ss.generate_state(1)[0])
 
 
@@ -315,7 +313,6 @@ def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, datasets: di
     manifest = {
         "config": {
             "data": asdict(cfg.data),
-            "regime": asdict(cfg.regime),
             "split": asdict(cfg.split),
             "grid": asdict(cfg.grid),
             "model": asdict(cfg.arch),

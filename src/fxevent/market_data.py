@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError
 DEFAULT_PIP_SIZE = 1e-4
 TRENDS = ("alternate", "up", "down")
 SYNTH_START_TS, SYNTH_BAR_SECONDS = 1577836800, 900  # synthetic bars: 2020-01-01T00:00:00Z on, 15 minutes apart
+SYNTH_START_PIPS = 11_000  # the synthetic series opens here: 1.10 at the default pip_size
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def save_csv(series: CandleSeries, path) -> None:
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Synthetic generator knobs.
+    """The synthetic generator's shape; every run uses `RegimeParams()`, and tests build others.
 
     The price path is a chain of trend legs. Each leg ramps at a per-bar slope and,
     partway through, gives back most of its gain in a brief counter-move (the
@@ -191,7 +192,6 @@ class RegimeParams:
     random wicks are added on top; both may be zeroed for degenerate regimes.
     """
 
-    start_price: float = 1.10
     leg_len: tuple[int, int] = (36, 62)  # bars per trend leg, inclusive range
     slope_pips: tuple[float, float] = (1.2, 2.5)  # per-bar drift magnitude
     notch_frac: tuple[float, float] = (0.38, 0.52)  # leg fraction where the dip starts
@@ -201,14 +201,12 @@ class RegimeParams:
     noise_pips: float = 0.25
     wick_pips: float = 0.6
     trend: str = "alternate"  # one of TRENDS
-    reversion_pips: float = 250.0  # price-level pull toward start_price; 0 disables
+    reversion_pips: float = 250.0  # price-level pull toward the start price; 0 disables
 
     def __post_init__(self):
         for name in ("leg_len", "slope_pips", "notch_frac", "notch_retrace"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} expects two values (low, high), got {getattr(self, name)}")
-        if self.start_price <= 0:
-            raise ConfigError(f"start_price must be > 0, got {self.start_price}")
         if not (1 <= self.leg_len[0] <= self.leg_len[1]):
             raise ConfigError(f"leg_len range invalid: {self.leg_len}")
         if self.slope_pips[0] <= 0 or self.slope_pips[0] > self.slope_pips[1]:
@@ -238,7 +236,10 @@ class RegimeParams:
 
 def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), symbol: str = "SYN",
                      pip_size: float = DEFAULT_PIP_SIZE) -> CandleSeries:
-    """Deterministic synthetic OHLC series; pure function of its arguments, with `*_pips` in units of pip_size."""
+    """Deterministic synthetic OHLC series; pure function of its arguments, with prices in units of pip_size.
+
+    The series opens at SYNTH_START_PIPS pips, so a larger pip_size scales every price by the same factor.
+    """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if n < 1 or not pip_size > 0:
@@ -248,15 +249,16 @@ def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), s
     closes = np.empty(n)
     direction = -1.0 if regime.trend == "down" else 1.0
 
+    start = SYNTH_START_PIPS * pip_size
     t = 0
-    leg_start_price = regime.start_price
+    leg_start_price = start
     while t < n:
         leg_len = int(rng.integers(regime.leg_len[0], regime.leg_len[1] + 1))
         slope = rng.uniform(*regime.slope_pips) * pip_size * direction
         if regime.reversion_pips > 0:
             # shrink legs that run away from the anchor, stretch legs pulling back,
             # so the level stays range-bound and train/test windows overlap
-            drift = (leg_start_price - regime.start_price) / (regime.reversion_pips * pip_size)
+            drift = (leg_start_price - start) / (regime.reversion_pips * pip_size)
             slope *= float(np.clip(1.0 - np.sign(slope) * drift, 0.6, 1.6))
         path = leg_start_price + slope * np.arange(1, leg_len + 1)
 
@@ -287,14 +289,12 @@ def synthetic_series(seed: int, n: int, regime: RegimeParams = RegimeParams(), s
         closes = closes + rng.normal(0.0, regime.noise_pips * pip_size, size=n)
 
     opens = np.empty(n)
-    opens[0] = regime.start_price
+    opens[0] = start
     opens[1:] = closes[:-1]
     wick_hi = rng.uniform(0.0, 1.0, size=n) * regime.wick_pips * pip_size
     wick_lo = rng.uniform(0.0, 1.0, size=n) * regime.wick_pips * pip_size
     highs = np.maximum(opens, closes) + wick_hi
     lows = np.minimum(opens, closes) - wick_lo
-    if np.any(lows <= 0):
-        raise ConfigError("regime drove prices non-positive; raise start_price or lower slope")
 
     timestamps = SYNTH_START_TS + SYNTH_BAR_SECONDS * np.arange(n, dtype=np.int64)
     return CandleSeries(symbol, pip_size, timestamps, opens, highs, lows, closes)

@@ -55,7 +55,7 @@ from .core import (
     zero_grads,
 )
 
-KINDS = ("rnn", "lstm", "bilstm", "gru")
+KINDS = ("rnn", "lstm", "bilstm", "gru")  # in this order: a kind's code in experiment.cell_seed is its index + 1
 INFERENCE_BATCH = 32  # windows per inference forward pass; see _forward_chunked
 
 

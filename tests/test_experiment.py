@@ -36,7 +36,7 @@ from fxevent.experiment import (
     resolve_cutoff,
     run_experiment,
 )
-from fxevent.market_data import RegimeParams, load_csv
+from fxevent.market_data import load_csv
 from fxevent.nn.models import TrainHyper
 
 
@@ -58,6 +58,11 @@ class TestCellSeed:
         others = {cell_seed(42, k, n) for k in ("rnn", "lstm", "bilstm", "gru") for n in (30, 60)}
         assert len(others) == 8
         assert cell_seed(43, "lstm", 30) != a
+
+    @pytest.mark.parametrize("kind, code", [("rnn", 1), ("lstm", 2), ("bilstm", 3), ("gru", 4)])
+    def test_kind_codes(self, kind, code):
+        # the codes every seed, output tree and bench reference curve was made with
+        assert cell_seed(42, kind, 30) == int(np.random.SeedSequence((42, code, 30)).generate_state(1)[0])
 
     def test_independent_of_grid_composition(self, tmp_path):
         # the same cell gets the same seed whether or not other cells run
@@ -334,18 +339,6 @@ symbol = EURUSD
 pip_size = 1e-2
 seed = 3
 n = 1234
-[regime]
-start_price = 2.5
-leg_len = 10,20
-slope_pips = 1.5,3.0
-notch_frac = 0.3,0.6
-notch_retrace = 0.5,0.7
-notch_down_bars = 2
-notch_recover_bars = 4
-noise_pips = 0.5
-wick_pips = 0.2
-trend = up
-reversion_pips = 100
 [split]
 cutoff_fraction = 0.7
 [grid]
@@ -370,14 +363,13 @@ seed = 9
 
 
 def float_keys():
-    """(section, key, default) for every key whose field holds a float or a tuple of floats."""
+    """(section, key) for every key whose field holds a float."""
     cfg = ExperimentConfig()
     for section, (attr, keys) in config_mod._SECTIONS.items():
         target = getattr(cfg, attr) if attr else cfg
         for key, name in keys.items():
-            default = getattr(target, name)
-            if isinstance(default[0] if isinstance(default, tuple) else default, float):
-                yield pytest.param(section, key, default, id=f"{section}.{key}")
+            if isinstance(getattr(target, name), float):
+                yield pytest.param(section, key, id=f"{section}.{key}")
 
 
 def float_flags():
@@ -425,14 +417,15 @@ class TestConfigFile:
 
     def test_every_default_has_a_type_the_reader_parses(self):
         # `_parse` reads a str, int, float or bool by its type and a tuple as a comma list of its
-        # first element's type; a default of any other type (None, say) would need a branch of its own
+        # first element's type, unchecked for finiteness: a float list or a default of any other
+        # type (None, say) would need a branch of its own
         cfg = ExperimentConfig()
         for section, (attr, keys) in config_mod._SECTIONS.items():
             target = getattr(cfg, attr) if attr else cfg
             for key, name in keys.items():
                 default = getattr(target, name)
                 if isinstance(default, tuple):
-                    assert {type(v) for v in default} in ({str}, {int}, {float}), f"{section}.{key}"
+                    assert {type(v) for v in default} in ({str}, {int}), f"{section}.{key}"
                 else:
                     assert type(default) in (str, int, float, bool), f"{section}.{key}"
 
@@ -447,19 +440,22 @@ class TestConfigFile:
         assert re.findall(r"`\[(\w+)\]`", listed) == list(config_mod._SECTIONS)
 
     def test_data_pip_size_is_the_synthetic_unit(self, tmp_path):
+        # the series starts at 11000 pips, so a JPY-sized pip gives the default series x 100
         path = tmp_path / "cfg.ini"
-        path.write_text("[data]\npip_size = 1e-2\n[regime]\nstart_price = 110\n")
+        path.write_text("[data]\npip_size = 1e-2\n")
         series = experiment._load_series(load_config(path))
         default = experiment._load_series(ExperimentConfig())
         assert series.pip_size == 0.01
-        assert np.max(np.abs((series.closes - 110) / 1e-2 - (default.closes - 1.10) / 1e-4)) < 1e-9
+        assert np.max(np.abs(series.closes / 1e-2 - default.closes / 1e-4)) < 1e-9
 
     def test_data_pip_size_too_large_for_start_price(self, tmp_path, capsys):
+        # a JPY-sized pip once drove the 1.10 start through zero; the start is now in pips, so the run completes
         path = tmp_path / "cfg.ini"
-        path.write_text(f"[data]\npip_size = 1e-2\n[output]\ndir = {tmp_path / 'out'}\n")
-        assert main(["experiment", "--config", str(path)]) == 2
-        assert capsys.readouterr().err == "error: regime drove prices non-positive; raise start_price or lower slope\n"
-        assert not (tmp_path / "out").exists()
+        path.write_text(f"[data]\npip_size = 1e-2\n[grid]\nkinds = rnn\ntimesteps = 30\n[model]\nhidden = 4\n"
+                        f"[training]\nmax_epochs = 1\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert main(["experiment", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["data"]["pip_size"] == 0.01
 
     @pytest.mark.parametrize("body", [None, "timestamp,open,high,low,close\n60,1.1,1.0,1.1,1.1\n"])
     def test_bad_csv_exits_2_before_any_output(self, tmp_path, capsys, body):
@@ -477,9 +473,6 @@ class TestConfigFile:
         path.write_text(ALL_KEYS)
         expected = ExperimentConfig(
             data=DataConfig("x.csv", "EURUSD", 1e-2, 3, 1234),
-            regime=RegimeParams(
-                2.5, (10, 20), (1.5, 3.0), (0.3, 0.6), (0.5, 0.7), 2, 4, 0.5, 0.2, "up", 100.0
-            ),
             split=SplitConfig(0.7),
             grid=GridConfig(("lstm", "gru"), (20,)),
             arch=ModelArch(1, 16, 0.2),
@@ -500,12 +493,12 @@ class TestConfigFile:
             ("[zigzag]\ndepth = 12\n", r"unknown section \[zigzag\], expected one of data, "),
             ("[crossover]\nfast = 5\n", r"unknown section \[crossover\], expected one of data, "),
             ("[retracement]\nlookahead = 60\n", r"unknown section \[retracement\], expected one of data, "),
+            ("[regime]\nleg_len = 36,62\n", r"unknown section \[regime\], expected one of data, "),
             ("[training]\nmax_epoch = 5\n", r"\[training\] unknown key 'max_epoch'"),
             ("[training]\nlr = fast\n", r"\[training\] lr: "),
             ("[output]\nsave_models = maybe\n", r"\[output\] save_models: "),
             ("[grid]\ntimesteps = 30,x\n", r"\[grid\] timesteps: "),
             ("[split]\ncutoff_fraction =\n", r"\[split\] cutoff_fraction: "),
-            ("[regime]\nleg_len = 5,6,7\n", r"\[regime\] leg_len expects two values"),
             ("[training]\nbatch_size = 0\n", r"\[training\] batch_size must be >= 1"),
             ("[training]\nmax_epochs = 0\n", r"\[training\] max_epochs must be >= 1"),
             ("[training]\nlr = 0\n", r"\[training\] lr must be > 0"),
@@ -516,16 +509,6 @@ class TestConfigFile:
             ("[grid]\nkinds = lstm,lstm\n", r"\[grid\] kinds lists a value more than once"),
             ("[grid]\ntimesteps = 30,30\n", r"\[grid\] timesteps lists a value more than once"),
             ("[grid]\nkinds =\n", r"\[grid\] kinds and timesteps must each name at least one value"),
-            ("[regime]\ntrend = sideways\n", r"\[regime\] unknown trend mode 'sideways'"),
-            ("[regime]\nnotch_recover_bars = 0\n", r"\[regime\] notch_recover_bars must be >= 1"),
-            ("[regime]\nnotch_frac = -1,-0.5\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(-1.0, -0.5\)"),
-            ("[regime]\nnotch_frac = 5,6\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(5.0, 6.0\)"),
-            ("[regime]\nnotch_frac = 0.6,0.4\n", r"\[regime\] notch_frac needs 0 < low <= high < 1, got \(0.6, 0.4\)"),
-            ("[regime]\nnotch_retrace = -1,-0.5\n", r"\[regime\] notch_retrace needs 0 < low <= high, got \(-1.0, -0.5\)"),
-            ("[regime]\nnotch_retrace = 0.9,0.5\n", r"\[regime\] notch_retrace needs 0 < low <= high, got \(0.9, 0.5\)"),
-            ("[regime]\nnotch_down_bars = 100\n", r"\[regime\] the dip fits in no leg: it starts at bar 24 at the "
-             r"earliest \(leg_len high x notch_frac low\), and 24 \+ notch_down_bars 100 \+ notch_recover_bars 3 "
-             r"> leg_len high 62"),
             ("[data]\nn = 0\n", r"\[data\] n must be >= 1, got 0"),
             ("[data]\npip_size = 0\n", r"\[data\] pip_size must be > 0, got 0.0"),
             # removed keys: the CSV is used when `csv` is set, and `cutoff_fraction` is the only split
@@ -546,11 +529,10 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    @pytest.mark.parametrize("section, key, default", float_keys())
-    def test_non_finite_float_names_file_section_and_key(self, tmp_path, section, key, default, bad):
-        value = f"{default[0]},{bad}" if isinstance(default, tuple) else bad  # a list: after a good value
+    @pytest.mark.parametrize("section, key", float_keys())
+    def test_non_finite_float_names_file_section_and_key(self, tmp_path, section, key, bad):
         path = tmp_path / "bad.ini"
-        path.write_text(f"[{section}]\n{key} = {value}\n")
+        path.write_text(f"[{section}]\n{key} = {bad}\n")
         match = f"{re.escape(str(path))}: \\[{section}\\] {key}: not a finite number: '{bad}'$"
         with pytest.raises(ConfigError, match=match):
             load_config(path)
@@ -741,6 +723,25 @@ class TestCli:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("synth", "--trend", "up"),
+            ("synth", "--noise-pips", "0.25"),
+            ("evaluate", "--stats", "m.model.stats.json"),
+        ],
+    )
+    def test_removed_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        # the generator is fixed, and evaluate always reads <model>.stats.json
+        out = tmp_path / "out"
+        argv = (["synth", "--out", str(out)] if command == "synth" else
+                ["evaluate", "--model", "m.model.npz", "--dataset", "ds", "--out-dir", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_commands_see_the_experiment_events(self, tmp_path):
         series_csv = tmp_path / "series.csv"
         main(["synth", "--seed", "7", "--n", "2600", "--out", str(series_csv)])
@@ -771,12 +772,12 @@ class TestCli:
         model_path = tmp_path / "m.model.npz"
         main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
               "--epochs", "1", "--out", str(model_path)])
-        stats_path = tmp_path / "five.stats.json"
+        stats_path = tmp_path / "m.model.stats.json"
         stats_path.write_text(json.dumps(
             {"feature_mean": [0.0] * 5, "feature_std": [1.0] * 5, "target_mean": 1.1, "target_std": 0.01}
         ))
         capsys.readouterr()
-        assert main(["evaluate", "--model", str(model_path), "--stats", str(stats_path),
+        assert main(["evaluate", "--model", str(model_path),
                      "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stats_path}: ")
@@ -804,14 +805,14 @@ class TestCli:
         model_path = tmp_path / "m.model.npz"
         main(["train", "--dataset", str(tmp_path / "ds"), "--kind", "rnn", "--hidden", "4",
               "--epochs", "1", "--out", str(model_path)])
-        stats = json.loads((tmp_path / "m.model.stats.json").read_text())
+        stats_path = tmp_path / "m.model.stats.json"
+        stats = json.loads(stats_path.read_text())
         stats["feature_std"][0] *= 2.0
-        stats_path = tmp_path / "other.stats.json"
         stats_path.write_text(json.dumps(stats))
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning from normalizing would raise here
-            assert main(["evaluate", "--model", str(model_path), "--stats", str(stats_path),
+            assert main(["evaluate", "--model", str(model_path),
                          "--dataset", str(tmp_path / "ds"), "--out-dir", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stats_path}: stats ")

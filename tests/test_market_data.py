@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from fxevent.cli import main
 from fxevent.errors import ConfigError, DataError
 from fxevent.market_data import (
+    DEFAULT_PIP_SIZE,
+    SYNTH_START_PIPS,
+    SYNTH_START_TS,
     CandleSeries,
     RegimeParams,
     load_csv,
@@ -358,20 +361,58 @@ class TestSyntheticSeries:
         with pytest.raises(ConfigError, match="pip_size > 0, got n 10 and pip_size 0.0"):
             synthetic_series(1, 10, pip_size=0.0)  # a zero pip would divide by zero in the level pull
 
-    def test_regime_validation(self):
-        with pytest.raises(ConfigError):
-            RegimeParams(leg_len=(0, 10))
-        with pytest.raises(ConfigError, match="leg_len expects two values"):
-            RegimeParams(leg_len=(5, 6, 7))
-        with pytest.raises(ConfigError):
-            RegimeParams(slope_pips=(0.0, 1.0))
-        with pytest.raises(ConfigError):
-            RegimeParams(noise_pips=-1.0)
-        with pytest.raises(ConfigError, match="unknown trend mode 'sideways'"):
-            RegimeParams(trend="sideways")
-        with pytest.raises(ConfigError, match="notch_recover_bars must be >= 1"):
-            RegimeParams(notch_recover_bars=0)
-        RegimeParams(notch_down_bars=0, notch_recover_bars=0)  # no counter-move, so no recovery either
+    def test_regime_without_counter_move_needs_no_recovery(self):
+        RegimeParams(notch_down_bars=0, notch_recover_bars=0)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (dict(leg_len=(0, 10)), "leg_len range invalid: (0, 10)"),
+            (dict(slope_pips=(0.0, 1.0)), "slope_pips range invalid: (0.0, 1.0)"),
+            (dict(noise_pips=-1.0), "noise_pips, wick_pips and reversion_pips must be >= 0"),
+            (dict(trend="sideways"), "unknown trend mode 'sideways'"),
+            (dict(notch_recover_bars=0), "notch_recover_bars must be >= 1 when the counter-move is enabled"),
+            (dict(notch_frac=(-1.0, -0.5)), "notch_frac needs 0 < low <= high < 1, got (-1.0, -0.5)"),
+            (dict(notch_frac=(5.0, 6.0)), "notch_frac needs 0 < low <= high < 1, got (5.0, 6.0)"),
+            (dict(notch_frac=(0.6, 0.4)), "notch_frac needs 0 < low <= high < 1, got (0.6, 0.4)"),
+            (dict(notch_retrace=(-1.0, -0.5)), "notch_retrace needs 0 < low <= high, got (-1.0, -0.5)"),
+            (dict(notch_retrace=(0.9, 0.5)), "notch_retrace needs 0 < low <= high, got (0.9, 0.5)"),
+            (dict(notch_down_bars=100), "the dip fits in no leg: it starts at bar 24 at the earliest (leg_len high "
+             "x notch_frac low), and 24 + notch_down_bars 100 + notch_recover_bars 3 > leg_len high 62"),
+            (dict(leg_len=(5, 6, 7)), "leg_len expects two values (low, high), got (5, 6, 7)"),
+        ],
+        ids=lambda v: ",".join(v) if isinstance(v, dict) else None,
+    )
+    def test_regime_validation(self, params, message):
+        with pytest.raises(ConfigError) as exc:
+            RegimeParams(**params)
+        assert str(exc.value) == message
+
+    def test_default_start_is_exactly_1_10(self):
+        # the default series, and every digest made from it, rest on this product being exact
+        assert SYNTH_START_PIPS * DEFAULT_PIP_SIZE == 1.10
+        assert synthetic_series(3, 50).opens[0] == 1.10
+
+    @pytest.mark.parametrize("pip_size", [1e-5, 1e-3, 1e-2, 1.0])
+    def test_prices_scale_with_pip_size(self, pip_size):
+        # the series opens at SYNTH_START_PIPS pips, so in pips every pip_size gives the default series
+        scaled = synthetic_series(3, 2000, pip_size=pip_size)
+        default = synthetic_series(3, 2000)
+        assert scaled.pip_size == pip_size
+        for field in ("opens", "highs", "lows", "closes"):
+            in_pips = getattr(scaled, field) / pip_size
+            assert np.max(np.abs(in_pips - getattr(default, field) / DEFAULT_PIP_SIZE)) < 1e-9, field
+
+    def test_runaway_regime_names_the_bar(self):
+        # with no pull back to the start, the legs drive the price through zero
+        n = 10_000
+        with pytest.raises(DataError) as exc:
+            synthetic_series(1, n, RegimeParams(trend="down", reversion_pips=0.0))
+        found = re.fullmatch(r"OHLC invariant violated at ts=(\d+) \(o=\S+ h=\S+ l=(\S+) c=\S+\)", str(exc.value))
+        assert found, str(exc.value)
+        bar, rest = divmod(int(found[1]) - SYNTH_START_TS, 900)
+        assert rest == 0 and 0 < bar < n
+        assert float(found[2]) <= 0
 
 
 class TestMakeSeries:
