@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import ClassVar
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .market_data import DEFAULT_PIP_SIZE, RegimeParams, finite_float
 from .nn.models import KINDS, ModelConfig, TrainHyper
 
@@ -163,7 +163,7 @@ def load_config(path) -> ExperimentConfig:
                 )
             try:
                 changes[fields[key]] = _parse(parser, section, key, getattr(target, fields[key]))
-            except (ValueError, DataError, configparser.Error) as exc:
+            except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
         try:
             target = replace(target, **changes)

@@ -3,10 +3,10 @@ run one pass and pass their own output checks.
 
 A change to `Dataset`, `build_samples`, `train` or `predict` that breaks how the
 benchmark calls them fails here. `prepare` and `score` run with an empty
-reference, so they check their outputs against each other. `grid` and `score`
-at seed 0 also run against the committed bench/reference.json, so a change that
-moves a loss curve, a prediction or the grid's data past the reference
-tolerance fails here too. Nothing under bench/ is changed; the workloads write
+reference, so they check their outputs against each other. All three at seed 0
+also run against the committed bench/reference.json, so a change that moves a
+loss curve, a prediction, the grid's data or a bit of the 100k-bar `prepare`
+digest fails here too. Nothing under bench/ is changed; the workloads write
 only under tmp_path.
 """
 
@@ -40,7 +40,9 @@ def test_workload_passes_its_checks(workloads, tmp_path, monkeypatch, name):
     passes_its_checks(workloads.WORKLOADS[name](0, tmp_path, {}))
 
 
-@pytest.mark.parametrize("name", ["grid", "score"])
+# `prepare` runs at its full 100k bars (about 2 s), so a bit flipped anywhere
+# in the feature matrix, at a block edge of the recurrence loop too, fails here.
+@pytest.mark.parametrize("name", ["grid", "prepare", "score"])
 def test_workload_matches_committed_reference(workloads, tmp_path, name):
     reference = json.loads((BENCH / "reference.json").read_text())
     passes_its_checks(workloads.WORKLOADS[name](0, tmp_path, reference))

@@ -3,7 +3,10 @@
 Every comparison is bitwise: the same floats, the same events, the same tallies.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,20 @@ from fxevent.events import (
     retracement_candidates,
     zigzag,
 )
-from fxevent.indicators import adx, ema, rsi
+from fxevent import indicators
+from fxevent.indicators import (
+    ADX_PERIODS,
+    RSI_PERIODS,
+    SMA_PERIODS,
+    WR_PERIODS,
+    adx,
+    bollinger,
+    ema,
+    feature_matrix,
+    rsi,
+    sma,
+    williams_r,
+)
 from fxevent.market_data import CandleSeries
 
 from conftest import random_walk_series
@@ -61,6 +77,36 @@ def test_recurrences_equal_loops(series, n):
     assert same_bits(rsi(c, n), oracles.loop_rsi(c, n))
     assert same_bits(adx(h, l, c, n), oracles.loop_adx(h, l, c, n))
     assert same_bits(ema(c, n), oracles.loop_ema(c, n))
+
+
+def loop_feature_columns(series):
+    """The 28 columns from the per-column loops, in `COLUMNS` order."""
+    c, h, l = series.closes, series.highs, series.lows
+    line = oracles.loop_ema(c, 12) - oracles.loop_ema(c, 26)
+    signal = oracles.loop_ema(line, 9)
+    return np.column_stack(
+        [line, signal, line - signal]
+        + [sma(c, p) for p in SMA_PERIODS]
+        + [oracles.loop_rsi(c, p) for p in RSI_PERIODS]
+        + [oracles.loop_adx(h, l, c, p) for p in ADX_PERIODS]
+        + list(bollinger(c))
+        + [williams_r(h, l, c, p) for p in WR_PERIODS]
+    )
+
+
+# The blocked loop starts where the 69-bar warm-up ends. Blocks of 1 and 3 bars
+# put a block edge, and so a lag of the DX and signal lanes, at nearly every bar
+# after it; 64 cuts walks of a few hundred bars into a few blocks with a short
+# last one.
+@pytest.mark.parametrize("block", [1, 3, 64])
+@SETTINGS
+@given(series=walks())
+def test_feature_matrix_equals_loops_at_block_edges(series, block):
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(indicators, "_BLOCK_ROWS", block)
+        warnings.simplefilter("ignore", UserWarning)  # walks shorter than the warm-up
+        values = feature_matrix(series).values
+    assert same_bits(values, loop_feature_columns(series))
 
 
 @SETTINGS

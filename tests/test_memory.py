@@ -62,6 +62,12 @@ def test_recurrence_peak_in_float64_columns(walk20k, kernel, columns):
     assert peak < columns * COLUMN, f"peak {peak / COLUMN:.1f} float64 columns"
 
 
+def test_ema_copies_none_of_its_input(walk20k):
+    # the lone EMA reads the closes through a memoryview; a scaled copy of them is a second column
+    _, peak = traced_peak(ema, walk20k.closes, 12)
+    assert peak < 1.5 * COLUMN, f"peak {peak / COLUMN:.2f} float64 columns"
+
+
 def test_fit_normalizer_peak_below_1_2x_one_stack(features20k):
     values = features20k.values
     ends = range(features20k.warmup_len + 29, len(values), 20)
