@@ -31,6 +31,9 @@ re-derivation matches index for index:
   still repaint after it (a later, more extreme same-kind candidate can replace a
   provisional pivot): the detector's known look-ahead. Every setup is used, even
   one whose crossover precedes that bar. ROADMAP.md plans to score causal setups.
+
+Rule (a) and the retracement's strict local-extremum test take their window
+extremes from `indicators.sliding_extreme`, and `zigzag` visits only candidates.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
+from .indicators import sliding_extreme
 from .market_data import CandleSeries
 
 TROUGH = "trough"
@@ -130,9 +133,8 @@ def _window_candidates(values: np.ndarray, depth: int, is_trough: bool) -> np.nd
     """Boolean candidacy mask per rule (a). -inf padding emulates the clamped window."""
     v = -values if is_trough else values  # reduce both kinds to "window maximum"
     padded = np.concatenate([np.full(depth, -np.inf), v, np.full(depth, -np.inf)])
-    window_max = sliding_window_view(padded, 2 * depth + 1).max(axis=1)
-    earlier_max = sliding_window_view(padded[: len(v) + depth - 1], depth).max(axis=1)
-    return (v >= window_max) & (v > earlier_max)
+    side = sliding_extreme(padded, depth, np.maximum)  # bar i's earlier side is side[i], its later side[i + depth + 1]
+    return (v > side[: len(v)]) & (v >= side[depth + 1 :])
 
 
 def zigzag(series: CandleSeries, params: ZigZagParams = ZigZagParams()) -> list[Pivot]:
@@ -144,12 +146,13 @@ def zigzag(series: CandleSeries, params: ZigZagParams = ZigZagParams()) -> list[
     trough_ok = _window_candidates(lows, params.depth, is_trough=True)
     peak_ok = _window_candidates(highs, params.depth, is_trough=False)
 
+    at = np.flatnonzero(trough_ok | peak_ok)  # the candidate bars, a few in a hundred
     candidates: list[tuple[int, str, float]] = []
-    for i in range(n):
-        if trough_ok[i]:
-            candidates.append((i, TROUGH, float(lows[i])))
-        if peak_ok[i]:
-            candidates.append((i, PEAK, float(highs[i])))
+    for i, trough, peak, low, high in zip(at.tolist(), *(v[at].tolist() for v in (trough_ok, peak_ok, lows, highs))):
+        if trough:
+            candidates.append((i, TROUGH, low))
+        if peak:
+            candidates.append((i, PEAK, high))
 
     deviation = params.deviation_pips * series.pip_size
     pivots: list[tuple[int, str, float]] = []
@@ -199,11 +202,11 @@ def retracement_candidates(closes: np.ndarray, radius: int) -> tuple[np.ndarray,
     minima = np.zeros(len(closes), dtype=bool)
     maxima = np.zeros(len(closes), dtype=bool)
     if len(closes) > 2 * radius:
-        windows = sliding_window_view(closes, 2 * radius + 1)
-        sides = (windows[:, :radius], windows[:, radius + 1 :])
         centre = closes[radius:-radius]
-        minima[radius:-radius] = (centre < sides[0].min(axis=1)) & (centre < sides[1].min(axis=1))
-        maxima[radius:-radius] = (centre > sides[0].max(axis=1)) & (centre > sides[1].max(axis=1))
+        for mask, ufunc, beyond in ((minima, np.minimum, np.less), (maxima, np.maximum, np.greater)):
+            side = sliding_extreme(closes, radius, ufunc)  # bar t's sides: side[t - radius] and side[t + 1]
+            mask[radius:-radius] = beyond(centre, side[: -radius - 1]) & beyond(centre, side[radius + 1 :])
+            del side  # so that the next side is built with this one freed
     return minima, maxima
 
 

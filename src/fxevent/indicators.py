@@ -39,6 +39,8 @@ overwrites it.
 
 A numpy step costs about the same whatever the lane count, while a
 Python-float step costs per lane, so the vector loop pays only for many lanes.
+The step is dispatch cost: `_advance` binds its ufuncs locally and passes
+their outputs positionally, as an `out=` keyword costs about 0.1 us a call.
 `ema`, a lone lane that event detection calls on the full series, stays a
 float loop that reads its input through a memoryview and copies none of it.
 `rsi`, `adx` and `macd` run the lane engine with their own 2 to 4 lanes, so
@@ -145,11 +147,11 @@ def _smooth(xs: np.ndarray, acc: float, a: float, b: float, c: float) -> np.ndar
 
 def _advance(acc: np.ndarray, a: np.ndarray, rows: np.ndarray, c: np.ndarray) -> None:
     """Step the lanes from states `acc` through `rows`, in place: xb on entry, the states on return."""
-    tmp = np.empty_like(acc)
-    for row in rows:
-        np.multiply(acc, a, out=tmp)
-        tmp += row
-        np.divide(tmp, c, out=row)
+    tmp, multiply, add, divide = np.empty_like(acc), np.multiply, np.add, np.divide
+    for row in list(rows):
+        multiply(acc, a, tmp)
+        add(tmp, row, tmp)
+        divide(tmp, c, row)
         acc = row
 
 
@@ -310,6 +312,19 @@ def adx(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndar
     return out
 
 
+def sliding_extreme(x: np.ndarray, n: int, ufunc) -> np.ndarray:
+    """`ufunc` (np.maximum or np.minimum) over each run of n consecutive elements of x, 1 <= n <= len(x).
+
+    Windows double up to the largest power of two w <= n, and two overlapping windows of w cover one of
+    n: about log2(n) whole-column passes, two columns live at a time. Max and min never round, so this is
+    `sliding_window_view(x, n).max/min(axis=1)` bit for bit, save the sign of a zero among zeros.
+    """
+    x, w = np.asarray(x, dtype=np.float64), 1
+    while 2 * w <= n:
+        x, w = ufunc(x[:-w], x[w:]), 2 * w
+    return ufunc(x[: len(x) - n + w], x[n - w :])
+
+
 def bollinger(close: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, middle, upper) bands: SMA +- k * population stddev over the window."""
     close = np.asarray(close, dtype=np.float64)
@@ -335,8 +350,8 @@ def williams_r(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> 
     out = _nan_prefix(len(close))
     if n > len(close):
         return out
-    hh = sliding_window_view(high, n).max(axis=1)
-    ll = sliding_window_view(low, n).min(axis=1)
+    hh = sliding_extreme(high, n, np.maximum)
+    ll = sliding_extreme(low, n, np.minimum)
     span = hh - ll
     with np.errstate(invalid="ignore", divide="ignore"):
         wr = (hh - close[n - 1 :]) / span * -100.0
@@ -366,7 +381,8 @@ def feature_matrix(series: CandleSeries) -> FeatureMatrix:
     for p in WR_PERIODS:
         values[:, at[f"wr{p}"]] = williams_r(highs, lows, closes, p)
 
-    warmup = max(int(ok.argmax()) if ok.any() else len(series) for ok in map(np.isfinite, values.T))
+    finite = np.isfinite(values)
+    warmup = max(int(ok.argmax()) if ok.any() else len(series) for ok in finite.T)
     if warmup >= len(series):
         warnings.warn(
             f"series of {len(series)} bars is shorter than the indicator warm-up; "
@@ -375,8 +391,8 @@ def feature_matrix(series: CandleSeries) -> FeatureMatrix:
             stacklevel=2,
         )
         warmup = len(series)
-    elif not np.all(np.isfinite(values[warmup:])):
-        bad = np.argwhere(~np.isfinite(values[warmup:]))[0]
+    elif not finite[warmup:].all():
+        bad = np.argwhere(~finite[warmup:])[0]
         raise DataError(
             f"indicator {COLUMNS[bad[1]]} is not finite at bar {warmup + int(bad[0])}, "
             f"past its warm-up of {warmup} bars"

@@ -136,9 +136,11 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
     be finite. The first fault in the file raises DataError naming its 1-based
     line.
 
-    The body is parsed in one `csvio.read_rows` call, with `parse_timestamp`
-    converting the timestamp column, and the series' arrays are views of its
-    one record array. Where numpy rejects a line, the rows before it are read
+    The body is parsed in one `csvio.read_rows` call, and the series' arrays
+    are views of its one record array. numpy reads epoch seconds itself (a
+    subset of what `int()` takes, to the same values); if it rejects a line,
+    the body is read again with `parse_timestamp` converting the timestamps.
+    Where numpy rejects a line of that read, the rows before it are read
     again, so that a bad bar above that line is the one reported.
     """
     path = Path(path)
@@ -158,14 +160,18 @@ def load_csv(path, symbol: str, pip_size: float = DEFAULT_PIP_SIZE) -> CandleSer
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
         cols = [header.index(col) for col in _CANDLE_COLUMNS]
-        read = partial(read_rows, path, fh, header_line, _BAR, usecols=cols, ndmin=1,
-                       converters={cols[0]: parse_timestamp})
+        read = partial(read_rows, path, fh, header_line, _BAR, usecols=cols, ndmin=1)
         body = fh.tell()
         try:
             bars, malformed = read(), None
-        except RowError as exc:  # read the rows above the rejected one, for a bad bar among them
+        except RowError:
             fh.seek(body)
-            bars, malformed = read(max_rows=exc.row or 0), exc
+            read = partial(read, converters={cols[0]: parse_timestamp})
+            try:
+                bars, malformed = read(), None
+            except RowError as exc:  # read the rows above the rejected one, for a bad bar among them
+                fh.seek(body)
+                bars, malformed = read(max_rows=exc.row or 0), exc
     fault = _bar_fault(*(bars[name] for name in _CANDLE_COLUMNS[1:]),
                        where=lambda i: f"line {line_of_row(path, header_line, i)}")
     if fault or malformed:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from fxevent.events import (
@@ -39,6 +40,7 @@ from fxevent.indicators import (
     ema,
     feature_matrix,
     rsi,
+    sliding_extreme,
     sma,
     williams_r,
 )
@@ -107,6 +109,19 @@ def test_feature_matrix_equals_loops_at_block_edges(series, block):
         warnings.simplefilter("ignore", UserWarning)  # walks shorter than the warm-up
         values = feature_matrix(series).values
     assert same_bits(values, loop_feature_columns(series))
+
+
+# Every window length of walks of 1-300 bars, quantized so that ties and flat runs are common, and of the
+# -inf margins `_window_candidates` pads with; the lengths straddle powers of two, where the doubling stops.
+@pytest.mark.parametrize("ufunc, reduce", [(np.maximum, "max"), (np.minimum, "min")], ids=["max", "min"])
+def test_sliding_extreme_equals_window_reduce(ufunc, reduce):
+    rng = np.random.default_rng(29)
+    for bars in [*range(1, 34), 63, 64, 65, 127, 128, 129, 255, 256, 257, 300]:
+        series = quantized(random_walk_series(rng, bars, vol_pips=2.0), bars % 3 * 2)
+        margin = np.full(bars % 12 + 1, -np.inf)
+        for x in (series.highs, series.lows, np.concatenate([margin, -series.lows, margin])):
+            for n in range(1, len(x) + 1):
+                assert same_bits(sliding_extreme(x, n, ufunc), getattr(sliding_window_view(x, n), reduce)(axis=1))
 
 
 @SETTINGS

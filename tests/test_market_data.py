@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fxevent import market_data as md
 from fxevent.cli import main
 from fxevent.errors import ConfigError, DataError
 from fxevent.market_data import (
@@ -329,6 +330,84 @@ class TestLoadCsvReaders:
             eol = data.draw(st.sampled_from(["\r\n", "\n"]))
             path.write_bytes(eol.join([header, *rows, ""]).encode())
             assert load_outcome(load_csv, path) == load_outcome(load_csv_rows, path)
+
+
+class TestTimestampReads:
+    """numpy's int64 read of the timestamps and the `parse_timestamp` re-read that any rejected line sends the
+    whole body through both give what the row loop gives, on a file long enough that numpy reads it in blocks."""
+
+    BARS = 60_010
+    LATE = 60_000  # the data row edited below; it sits on line LATE + 2
+
+    @pytest.fixture(scope="class")
+    def epoch_lines(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("epoch") / "series.csv"
+        save_csv(random_walk_series(np.random.default_rng(29), self.BARS), path)
+        return path.read_text().splitlines()
+
+    @pytest.fixture(scope="class")
+    def epoch_outcome(self, epoch_lines, tmp_path_factory):
+        return load_outcome(load_csv_rows, write(tmp_path_factory.mktemp("plain"), "\n".join(epoch_lines) + "\n"))
+
+    def outcome(self, tmp_path, lines, converted=None):
+        """load_csv's outcome on `lines`, checked against the row loop's; `converted` counts parse_timestamp calls."""
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(md, "parse_timestamp", lambda text: calls.append(text) or parse_timestamp(text))
+            got = load_outcome(load_csv, path)
+        assert got == load_outcome(load_csv_rows, path)
+        if converted is not None:
+            assert len(calls) == converted
+        return got
+
+    def edited(self, lines, row, field, text):
+        """`lines` with field `field` of data row `row` set to `text`."""
+        lines = list(lines)
+        fields = lines[1 + row].split(",")
+        fields[field] = text
+        lines[1 + row] = ",".join(fields)
+        return lines
+
+    def with_iso_row(self, lines, row):
+        """`lines` with the timestamp of data row `row` written in ISO-8601."""
+        ts = int(lines[1 + row].split(",")[0])
+        return self.edited(lines, row, 0, datetime.fromtimestamp(ts, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"))
+
+    def test_epoch_seconds_are_read_by_numpy(self, tmp_path, epoch_lines, epoch_outcome):
+        assert self.outcome(tmp_path, epoch_lines, converted=0) == epoch_outcome
+
+    def test_late_iso_row_rereads_the_same_series(self, tmp_path, epoch_lines, epoch_outcome):
+        lines = self.with_iso_row(epoch_lines, self.LATE)
+        assert self.outcome(tmp_path, lines, converted=self.BARS) == epoch_outcome
+
+    # the forms README names: numpy reads all but the `_`-separated one, which sends the body to the re-read
+    @pytest.mark.parametrize("form, converted", [
+        ("+{}", 0), ("{}_{}", BARS), ("  {} ", 0), ('"{}"', 0),
+    ], ids=["plus", "underscore", "padded", "quoted"])
+    def test_readme_timestamp_forms(self, tmp_path, epoch_lines, epoch_outcome, form, converted):
+        lines = epoch_lines
+        for row in (0, self.LATE, self.BARS - 1):
+            ts = lines[1 + row].split(",")[0]
+            lines = self.edited(lines, row, 0, form.format(ts[:-1], ts[-1]) if "_" in form else form.format(ts))
+        assert self.outcome(tmp_path, lines, converted=converted) == epoch_outcome
+
+    @pytest.mark.parametrize("price, error", [
+        ("abc", "malformed row at line {}"),
+        ("nan", "non-finite price at line {} (o=nan "),
+    ])
+    def test_bad_price_after_an_iso_row_names_its_line(self, tmp_path, epoch_lines, price, error):
+        lines = self.edited(self.with_iso_row(epoch_lines, self.LATE), self.LATE + 2, 1, price)
+        got = self.outcome(tmp_path, lines)
+        assert got.startswith(f"{tmp_path / 'series.csv'}: {error.format(self.LATE + 4)}")
+
+    def test_oversized_late_timestamp_keeps_its_message(self, tmp_path, epoch_lines):
+        # int() reads it but no int64 holds it; the row loop ends in an OverflowError, so only the message is checked
+        path = write(tmp_path, "\n".join(self.edited(epoch_lines, self.LATE, 0, "99999999999999999999")) + "\n")
+        message = (f"{path}: malformed row at line {self.LATE + 2}: could not convert string "
+                   "'99999999999999999999' to int64, column 1.")
+        with pytest.raises(DataError, match=re.escape(message) + "$"):
+            load_csv(path, "X")
 
 
 class TestSyntheticSeries:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from fxevent.dataset import Dataset, Sample, build_samples, fit_normalizer, load_dataset, save_dataset
-from fxevent.events import assemble_sequences, crossovers, zigzag
-from fxevent.indicators import adx, ema, feature_matrix, rsi
+from fxevent.events import ZigZagParams, assemble_sequences, crossovers, retracement_candidates, zigzag
+from fxevent.indicators import adx, ema, feature_matrix, rsi, williams_r
 from fxevent.market_data import load_csv, save_csv
 
 from conftest import random_walk_series
@@ -66,6 +66,25 @@ def test_ema_copies_none_of_its_input(walk20k):
     # the lone EMA reads the closes through a memoryview; a scaled copy of them is a second column
     _, peak = traced_peak(ema, walk20k.closes, 12)
     assert peak < 1.5 * COLUMN, f"peak {peak / COLUMN:.2f} float64 columns"
+
+
+# Window extremes come from `sliding_extreme`, whose doubling passes hold two columns whatever the window
+# length. On the walk: williams_r 6.0 columns at every n, zigzag 4.0, retracement_candidates 2.3.
+@pytest.mark.parametrize("n", [4, 25, 1000])
+def test_williams_r_peak_flat_in_its_window(walk20k, n):
+    _, peak = traced_peak(williams_r, walk20k.highs, walk20k.lows, walk20k.closes, n)
+    assert peak < 6.5 * COLUMN, f"peak {peak / COLUMN:.2f} float64 columns"
+
+
+@pytest.mark.parametrize("depth", [12, 1000])
+def test_zigzag_peak_flat_in_its_depth(walk20k, depth):
+    _, peak = traced_peak(zigzag, walk20k, ZigZagParams(depth=depth))
+    assert peak < 4.5 * COLUMN, f"peak {peak / COLUMN:.2f} float64 columns"
+
+
+def test_retracement_candidates_hold_one_side_at_a_time(walk20k):
+    _, peak = traced_peak(retracement_candidates, walk20k.closes, 3)
+    assert peak < 2.6 * COLUMN, f"peak {peak / COLUMN:.2f} float64 columns"
 
 
 def test_fit_normalizer_peak_below_1_2x_one_stack(features20k):
