@@ -80,7 +80,7 @@ def cmd_dataset(args):
         return 1
     ds = ds_mod.Dataset(tuple(samples), args.timesteps, "train", feature_names=feats.columns)
     ds_mod.save_dataset(ds, args.out)
-    print(f"wrote {len(ds)} samples ({skipped} skipped) to {args.out}_windows.npy / {args.out}_targets.csv")
+    print(f"wrote {len(ds)} samples ({skipped} skipped) to {args.out}_windows.npy / {args.out}_targets.npy")
     return 0
 
 

@@ -1,8 +1,8 @@
-"""CSV reading and writing shared by the candle, feature, targets and predictions files.
+"""CSV reading and writing shared by the candle, feature and predictions files.
 
-Every CSV body the program reads (the candles and a dataset's targets) goes
-through `read_rows`, its one `np.loadtxt` call: comma separated, `"` quotes
-read, empty lines skipped, no comment lines.
+The one CSV body the program reads, the candles, goes through `read_rows`,
+its one `np.loadtxt` call: comma separated, `"` quotes read, empty lines
+skipped, no comment lines.
 
 Rows come out byte for byte as the default `csv.writer` dialect writes them:
 fields joined by commas, each line ending in CRLF, floats as their shortest
@@ -61,9 +61,9 @@ class RowError(ValueError):
 
 
 # np.loadtxt names a data row, counted from 0 in a conversion error and from 1
-# in the column-count errors below (whose advice to use `usecols` is dropped)
-_AT_ROW = re.compile(r"(.*) at row (\d+)(?:; use .*)?(.*)", re.DOTALL)
-_ROWS_FROM_1 = ("invalid column index", "the dtype passed requires")
+# in the column-count error that a read with `usecols` gives
+_AT_ROW = re.compile(r"(.*) at row (\d+)(.*)", re.DOTALL)
+_ROW_FROM_1 = "invalid column index"
 
 
 def read_rows(path, fh, header_line: int, dtype, **loadtxt_args) -> np.ndarray:
@@ -82,7 +82,7 @@ def read_rows(path, fh, header_line: int, dtype, **loadtxt_args) -> np.ndarray:
     found = _AT_ROW.fullmatch(text)
     if found is None:
         raise RowError(text) from None
-    row = int(found[2]) - text.startswith(_ROWS_FROM_1)
+    row = int(found[2]) - text.startswith(_ROW_FROM_1)
     line = line_of_row(path, header_line, row)
     raise RowError(f"malformed row at line {line}: {found[1]}{found[3]}", row) from None
 

@@ -1,4 +1,4 @@
-"""Training-window construction and normalization.
+"""Training-window construction, normalization and the two `.npy` files of a dataset.
 
 One sample per detected event sequence: the feature rows for the n bars ending at
 the crossover (inclusive), with the close at the retracement point as the scalar
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import RowError, line_of_row, read_rows, write_table
 from .errors import ConfigError
 from .events import EventSequence
 from .indicators import FeatureMatrix
@@ -219,13 +218,16 @@ def invert_target(y_norm, stats: NormStats):
     return y_norm * stats.target_std + stats.target_mean
 
 
+_TARGET_ROW = np.dtype([("e2_ts", "<i8"), ("e3_ts", "<i8"), ("target", "<f8")])
+
+
 def save_dataset(ds: Dataset, prefix) -> None:
-    """Write `<prefix>_windows.npy` and `<prefix>_targets.csv`, one sample at a time.
+    """Write `<prefix>_windows.npy`, one sample at a time, and `<prefix>_targets.npy`.
 
     The windows file is a `.npy` (format 1.0) array of (samples, timesteps)
     records, one little-endian float64 field per feature, named by the feature
     names (f0, f1, ... if none): `np.load(path).view("<f8").reshape(N, T, D)`
-    gives the windows bitwise. Targets carry `sample_id,e2_ts,e3_ts,target`.
+    gives the windows bitwise. The targets file is `np.save` of a `_TARGET_ROW` record per sample.
     Names that are empty, repeated or not latin-1 raise ConfigError first.
     """
     names = ds.feature_names or tuple(f"f{j}" for j in range(ds.n_features))
@@ -238,12 +240,19 @@ def save_dataset(ds: Dataset, prefix) -> None:
     with open(f"{prefix}_windows.npy", "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, header)
         fh.writelines(np.ascontiguousarray(s.window, "<f8") for s in ds.samples)
-    write_table(f"{prefix}_targets.csv", ["sample_id", "e2_ts", "e3_ts", "target"],
-                [f"{sid},{s.e2_ts},{s.e3_ts}" for sid, s in enumerate(ds.samples)],
-                np.reshape([s.target for s in ds.samples], (-1, 1)))
+    np.save(f"{prefix}_targets.npy", np.array([(s.e2_ts, s.e3_ts, s.target) for s in ds.samples], _TARGET_ROW))
 
 
-_TARGET_ROW = np.dtype([("sample_id", np.int64), ("e2_ts", np.int64), ("e3_ts", np.int64), ("target", np.float64)])
+def _read_npy(path: str, what: str) -> np.ndarray:
+    """The one array of the `.npy` file `path`, read in one call; any fault raises ConfigError naming the file."""
+    with open(path, "rb") as fh:
+        try:  # the largest header a 1.0 file can hold, so that whatever save_dataset writes reads back
+            array = np.lib.format.read_array(fh, allow_pickle=False, max_header_size=2**16)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a {what} file ({exc})") from None
+        if fh.read(1):  # numpy ignores them, and a value written twice would shift every later one
+            raise ConfigError(f"{path}: not a {what} file (bytes past its {array.nbytes}-byte array)")
+    return array
 
 
 def load_dataset(prefix, role: str = "train") -> Dataset:
@@ -252,20 +261,12 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
     The windows file must hold a non-empty (samples, timesteps) array of packed
     little-endian float64 records, all finite, and nothing past it, read in one
     call: each window is a read-only view of that block, and the field names
-    are the feature names.
-    The targets body goes through `csvio.read_rows` (empty lines skipped, `"`
-    quotes read), one row per sample in order, each target a close (finite and
-    > 0), and its errors name the line.
+    are the feature names. The targets file must hold one `_TARGET_ROW`
+    record per sample and nothing past it, each target a close (finite and > 0).
     Reloaded samples carry e2_index = -1: bar indices are not wire format.
     """
-    windows_path = f"{prefix}_windows.npy"
-    with open(windows_path, "rb") as fh:
-        try:  # the largest header a 1.0 file can hold, so that whatever save_dataset writes reads back
-            records = np.lib.format.read_array(fh, allow_pickle=False, max_header_size=2**16)
-        except ValueError as exc:
-            raise ConfigError(f"{windows_path}: not a windows file ({exc})") from None
-        if fh.read(1):  # numpy ignores them, and a value written twice would shift every later one
-            raise ConfigError(f"{windows_path}: not a windows file (bytes past its {records.nbytes}-byte array)")
+    windows_path, targets_path = f"{prefix}_windows.npy", f"{prefix}_targets.npy"
+    records = _read_npy(windows_path, "windows")
     names = records.dtype.names
     if records.ndim != 2 or not records.size or not names or records.dtype != np.dtype([(n, "<f8") for n in names]):
         raise ConfigError(f"{windows_path}: holds an array of shape {records.shape} and dtype {records.dtype}, "
@@ -275,27 +276,14 @@ def load_dataset(prefix, role: str = "train") -> Dataset:
         i, t, j = np.argwhere(~np.isfinite(windows))[0]
         raise ConfigError(f"{windows_path}: non-finite value in sample {i} at timestep {t}, feature {names[j]}")
 
-    targets_path = f"{prefix}_targets.csv"
-    with open(targets_path) as fh:
-        try:
-            fh.readline()
-            meta = read_rows(targets_path, fh, 1, _TARGET_ROW, ndmin=1)
-        except UnicodeDecodeError as exc:  # in the header: read_rows reports its own
-            raise ConfigError(f"{targets_path}: not UTF-8 text ({exc})") from None
-        except RowError as exc:
-            raise ConfigError(f"{targets_path}: {exc}") from None
-    ids = np.arange(len(meta))
+    meta = _read_npy(targets_path, "targets")
+    if meta.dtype != _TARGET_ROW or meta.shape != (len(windows),):
+        raise ConfigError(f"{targets_path}: holds an array of shape {meta.shape} and dtype {meta.dtype}, "
+                          f"expected {len(windows)} records of {_TARGET_ROW}, one per sample")
     target = meta["target"]  # a close
-    bad = np.flatnonzero((meta["sample_id"] != ids) | (ids >= len(windows)) | ~np.isfinite(target) | (target <= 0))
+    bad = np.flatnonzero(~(np.isfinite(target) & (target > 0)))
     if bad.size:
-        i = int(bad[0])
-        key, line = int(meta["sample_id"][i]), line_of_row(targets_path, 1, i)
-        if key == i < len(windows):
-            fault = "non-positive" if np.isfinite(target[i]) else "non-finite"
-            raise ConfigError(f"{targets_path}: {fault} target at line {line}")
-        expected = f"sample {i}" if i < len(windows) else "the end of the file"
-        raise ConfigError(f"{targets_path}: line {line} holds sample {key}, expected {expected}")
-    if len(meta) < len(windows):
-        raise ConfigError(f"{targets_path}: no row for sample {len(meta)}")
-    samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (_, e2_ts, e3_ts, target) in zip(windows, meta.tolist()))
+        fault = "non-positive" if np.isfinite(target[bad[0]]) else "non-finite"
+        raise ConfigError(f"{targets_path}: {fault} target in sample {bad[0]}")
+    samples = tuple(Sample(w, target, -1, e2_ts, e3_ts) for w, (e2_ts, e3_ts, target) in zip(windows, meta.tolist()))
     return Dataset(samples, windows.shape[1], role, feature_names=names)

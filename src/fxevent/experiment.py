@@ -302,9 +302,9 @@ def _serve() -> None:
 
 
 def _environment() -> dict:
-    """What replay depends on besides the config: the numpy version and its BLAS library."""
+    """What replay depends on besides the config: the numpy version and its BLAS library and version."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"numpy": np.__version__, "blas": blas.get("name", "?")}
+    return {"numpy": np.__version__, "blas": blas.get("name", "?"), "blas_version": blas.get("version", "?")}
 
 
 def _write_reports(cfg: ExperimentConfig, result: ExperimentResult, datasets: dict) -> None:

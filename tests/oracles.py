@@ -749,6 +749,8 @@ def load_csv_rows(path, symbol, pip_size=1e-4):
                 continue
             try:
                 ts = parse_timestamp(rec[it])
+                if not -(2**63) <= ts < 2**63:  # int() reads it, but the series holds int64
+                    raise ValueError(f"timestamp {rec[it]!r} does not fit in int64")
                 o, h, l, c = float(rec[io]), float(rec[ih]), float(rec[il]), float(rec[ic])
             except (DataError, IndexError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row at line {reader.line_num}: {exc}") from exc

@@ -3,7 +3,6 @@ import hashlib
 import io
 import pickle
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +202,9 @@ def records_of(windows, names):
     return np.ascontiguousarray(windows, "<f8").view(np.dtype([(n, "<f8") for n in names]))[..., 0]
 
 
+TARGET_ROW = np.dtype([("e2_ts", "<i8"), ("e3_ts", "<i8"), ("target", "<f8")])  # one sample's record in the targets file
+
+
 class TestSerialization:
     def test_round_trip(self, rng, tmp_path, synth, ):
         fm = feature_matrix(synth)
@@ -231,8 +233,7 @@ class TestSerialization:
         records = np.load(tmp_path / "x_windows.npy")
         assert records.dtype.names == names and records.shape == (6, 4)
         assert records.view("<f8").reshape(6, 4, 3).tobytes() == ds.windows().tobytes()
-        targets_header = (tmp_path / "x_targets.csv").read_text().splitlines()[0]
-        assert targets_header == "sample_id,e2_ts,e3_ts,target"
+        assert np.load(tmp_path / "x_targets.npy").dtype.names == ("e2_ts", "e3_ts", "target")
 
     def test_default_feature_names(self, rng, tmp_path):
         save_dataset(tiny_dataset(rng), tmp_path / "d")
@@ -255,11 +256,16 @@ class TestSerialization:
         assert written == b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + ds.windows().tobytes()
         np.save(tmp_path / "s.npy", records_of(ds.windows(), ("a", "b")))
         assert written == (tmp_path / "s.npy").read_bytes()
-        assert (tmp_path / "g_targets.csv").read_bytes() == (
-            b"sample_id,e2_ts,e3_ts,target\r\n"
-            b"0,1000,2000,1.1\r\n"
-            b"1,1900,3800,0.86\r\n"
+        header = b"{'descr': [('e2_ts', '<i8'), ('e3_ts', '<i8'), ('target', '<f8')], 'fortran_order': False, "
+        header += b"'shape': (2,), }"
+        header += b" " * (192 - 10 - 1 - len(header)) + b"\n"  # numpy's room to grow the count, to a multiple of 64
+        written = (tmp_path / "g_targets.npy").read_bytes()
+        assert written == b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + (
+            np.array([1000, 2000], "<i8").tobytes() + np.float64(1.1).tobytes()
+            + np.array([1900, 3800], "<i8").tobytes() + np.float64(0.86).tobytes()
         )
+        np.save(tmp_path / "t.npy", np.array([(1000, 2000, 1.1), (1900, 3800, 0.86)], TARGET_ROW))
+        assert written == (tmp_path / "t.npy").read_bytes()
 
     @settings(max_examples=40)
     @given(
@@ -297,7 +303,7 @@ class TestSerialization:
         assert main(["synth", "--seed", "7", "--n", "3000", "--out", str(series_csv)]) == 0
         for out in ("a", "b"):
             assert main(["dataset", "--csv", str(series_csv), "--timesteps", "20", "--out", str(tmp_path / out)]) == 0
-        for name in ("windows.npy", "targets.csv"):
+        for name in ("windows.npy", "targets.npy"):
             assert (tmp_path / f"a_{name}").read_bytes() == (tmp_path / f"b_{name}").read_bytes(), name
 
     @pytest.mark.parametrize(
@@ -330,53 +336,16 @@ class TestSerialization:
             writer.writerow([i, *cells])
         assert format_rows(range(len(values)), values, blank_nonfinite=blank) == out.getvalue()
 
-    def test_missing_target_row_names_file(self, rng, tmp_path):
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "m")
-        path = tmp_path / "m_targets.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:2] + lines[3:]))  # drop sample 1
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3 holds sample 2, expected sample 1")):
-            load_dataset(tmp_path / "m")
-        path.write_text("".join(lines[:3]))  # drop sample 2, the last
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: no row for sample 2")):
-            load_dataset(tmp_path / "m")
-
-    def test_shuffled_rows_rejected(self, rng, tmp_path):
-        # save_dataset writes the targets in sample order; no other order is read
-        save_dataset(tiny_dataset(rng, n_samples=5), tmp_path / "s")
-        path = tmp_path / "s_targets.csv"
-        header, *body = path.read_text().splitlines(keepends=True)
-        body[1], body[2] = body[2], body[1]
-        path.write_text(header + "".join(body))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3 holds sample 2, expected sample 1")):
-            load_dataset(tmp_path / "s")
-
-    def test_sample_ids_from_one_rejected(self, rng, tmp_path):
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "o")
-        path = tmp_path / "o_targets.csv"
-        path.write_text(re.sub(r"(?m)^(\d+),", lambda m: f"{int(m[1]) + 1},", path.read_text()))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2 holds sample 1, expected sample 0")):
-            load_dataset(tmp_path / "o")
-
-    def test_extra_target_row_names_file_and_line(self, rng, tmp_path):
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "e")
-        path = tmp_path / "e_targets.csv"
-        path.write_text(path.read_text() + "3,1003,2003,1.1\r\n")
-        with pytest.raises(ConfigError, match=re.escape(
-            f"{path}: line 5 holds sample 3, expected the end of the file"
-        ) + "$"):
-            load_dataset(tmp_path / "e")
-
     @pytest.mark.parametrize("name, line, value, message", [
         ("windows", 3, "nan", "non-finite value in sample 0 at timestep 1, feature f2"),
-        ("targets", 2, "inf", "non-finite target at line 2"),
+        ("targets", 2, "inf", "non-finite target in sample 0"),
         # a target is a close: a negative one would score a negative MAPE, a zero one an undefined MAPE
-        ("targets", 3, "-1.1", "non-positive target at line 3"),
-        ("targets", 3, "0.0", "non-positive target at line 3"),
-        ("targets", 3, "-0.0", "non-positive target at line 3"),
+        ("targets", 3, "-1.1", "non-positive target in sample 1"),
+        ("targets", 3, "0.0", "non-positive target in sample 1"),
+        ("targets", 3, "-0.0", "non-positive target in sample 1"),
     ])
     def test_bad_value_names_file(self, rng, tmp_path, name, line, value, message):
-        # `line` counts as the text files did: the windows file's line 3 held sample 0 timestep 1
+        # `line` counts as the text files did: line 3 held sample 0 timestep 1 of the windows, or sample 1's target
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "n")
         if name == "windows":
             path = tmp_path / "n_windows.npy"
@@ -385,10 +354,10 @@ class TestSerialization:
             with open(path, "wb") as fh:
                 np.save(fh, records)
         else:
-            path = tmp_path / f"n_{name}.csv"
-            lines = path.read_text().splitlines(keepends=True)
-            lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{value}\n"
-            path.write_text("".join(lines))
+            path = tmp_path / "n_targets.npy"
+            records = np.load(path)
+            records["target"][line - 2] = float(value)
+            np.save(path, records)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}") + "$"):
             load_dataset(tmp_path / "n")
 
@@ -403,31 +372,6 @@ class TestSerialization:
         message = f"{tmp_path / 'n_windows.npy'}: non-finite value in sample 1 at timestep 2, feature b"
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             load_dataset(tmp_path / "n")
-
-    @pytest.mark.parametrize(
-        "row, error",
-        [
-            ("1,1001,2001", "malformed row at line 3: the dtype passed requires 4 columns but 3 were found"),
-            ("1,1001,2001,abc", "malformed row at line 3: could not convert string 'abc' to float64, column 4."),
-            ("x1,1001,2001,1.1", "malformed row at line 3: could not convert string 'x1' to int64, column 1."),
-            ("0,1001,2001,1.1", "line 3 holds sample 0, expected sample 1"),  # a second row for sample 0
-            ("3,1001,2001,1.1", "line 3 holds sample 3, expected sample 1"),  # a sample without windows
-        ],
-        # the reasons the row loop once gave, which name the cases
-        ids=["1,1001,2001-not enough values", "1,1001,2001,abc-'abc'", "x1,1001,2001,1.1-'x1'",
-             "0,1001,2001,1.1-holds sample 0, expected sample 1", "3,1001,2001,1.1-holds sample 3, expected sample 1"],
-    )
-    def test_malformed_target_row_names_file_and_line(self, rng, tmp_path, capsys, row, error):
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "t")
-        path = tmp_path / "t_targets.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        lines[2] = row + "\r\n"
-        path.write_text("".join(lines))
-        message = f"{path}: {error}"
-        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
-            load_dataset(tmp_path / "t")
-        assert main(["train", "--dataset", str(tmp_path / "t"), "--out", str(tmp_path / "m.txt")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cut", ["row", "field", "last"])
     def test_ragged_windows_name_file(self, rng, tmp_path, cut):
@@ -536,66 +480,54 @@ class TestSerialization:
             f"error: [Errno 2] No such file or directory: '{tmp_path / 'w_windows.npy'}'\n"
         )
 
-    @settings(max_examples=40)
-    @given(
-        windows=st.integers(1, 4).flatmap(
-            lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 3), st.integers(1, 3)),
-                             elements=st.floats(allow_nan=False, allow_infinity=False))
-        ),
-        eol=st.sampled_from(["\n", "\r\n"]),
-        data=st.data(),
-    )
-    def test_blank_lines_and_line_ends_load_bitwise(self, tmp_path_factory, windows, eol, data):
-        samples = tuple(Sample(w, float(i + 1) / 3, -1, i, 2 * i) for i, w in enumerate(windows))
-        prefix = tmp_path_factory.mktemp("bl") / "ds"
-        save_dataset(Dataset(samples, windows.shape[1], "train"), prefix)
-        path = Path(f"{prefix}_targets.csv")
-        header, *rows = path.read_text().splitlines()
-        blanks = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
-        for i in sorted(blanks, reverse=True):
-            rows.insert(i, "")
-        path.write_bytes(eol.join([header, *rows, ""]).encode())
-        back = load_dataset(prefix)
-        assert back.windows().tobytes() == windows.tobytes()
-        assert back.targets().tobytes() == np.array([float(i + 1) / 3 for i in range(len(windows))]).tobytes()
-        assert [(s.e2_ts, s.e3_ts) for s in back.samples] == [(i, 2 * i) for i in range(len(windows))]
-
-    @pytest.mark.parametrize("at, error", [
-        (40, "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 40: invalid start byte)"),
-        (9000, "'utf-8' codec can't decode byte 0xff in position "),  # past the first block: read_rows words it
-    ], ids=["header_block", "past_first_block"])
-    def test_non_utf8_targets_name_file(self, rng, tmp_path, capsys, at, error):
-        save_dataset(tiny_dataset(rng, n_samples=400), tmp_path / "u")
-        path = tmp_path / "u_targets.csv"
-        data = bytearray(path.read_bytes())
-        assert len(data) > at and data[at] in b"0123456789"
-        data[at] = 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}")):
-            load_dataset(tmp_path / "u")
-        assert main(["train", "--dataset", str(tmp_path / "u"), "--out", str(tmp_path / "m.txt")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: {error}")
-
     @pytest.mark.parametrize(
-        "at, row, reason",
+        "write, found",
         [
-            (1, "1,1001,2001,abc", "could not convert string 'abc' to float64, column 4."),
-            (1, "1,1001,x,1.1", "could not convert string 'x' to int64, column 3."),
-            (0, "0,1001,x,1.1", "could not convert string 'x' to int64, column 3."),
-            (1, "1,1001,2001", "the dtype passed requires 4 columns but 3 were found"),
-            (0, "0,1001,2001", "the dtype passed requires 4 columns but 3 were found"),
-            (1, "1,1001,2001,1.1,7", "the dtype passed requires 4 columns but 5 were found"),
+            (lambda fh, r: fh.write(b"sample_id,e2_ts,e3_ts,target\r\n0,1000,2000,1.1\r\n"),
+             "not a targets file (the magic string is not correct; expected b'\\x93NUMPY', got b'sample')"),
+            (lambda fh, r: fh.write(b""), "not a targets file (EOF: reading magic string, expected 8 bytes got 0)"),
+            (lambda fh, r: np.save(fh, r) or fh.write(r[:1].tobytes()),
+             "not a targets file (bytes past its 72-byte array)"),
+            (lambda fh, r: np.save(fh, np.array([[i, *row] for i, row in enumerate(r.tolist())])),
+             "holds an array of shape (3, 4) and dtype float64, "),
+            (lambda fh, r: np.save(fh, np.array([(i, *row) for i, row in enumerate(r.tolist())],
+                                                [("sample_id", "<i8"), *r.dtype.descr])),
+             "holds an array of shape (3,) and dtype [('sample_id', '<i8'), ('e2_ts', '<i8'), ('e3_ts', '<i8'), "
+             "('target', '<f8')], "),
+            (lambda fh, r: np.save(fh, r.astype([("e2_ts", ">i8"), ("e3_ts", ">i8"), ("target", ">f8")])),
+             "holds an array of shape (3,) and dtype [('e2_ts', '>i8'), ('e3_ts', '>i8'), ('target', '>f8')], "),
+            (lambda fh, r: np.save(fh, r[:2]), f"holds an array of shape (2,) and dtype {TARGET_ROW}, "),
+            (lambda fh, r: np.save(fh, np.concatenate([r, r[-1:]])),
+             f"holds an array of shape (4,) and dtype {TARGET_ROW}, "),
+            (lambda fh, r: np.save(fh, r.reshape(3, 1)), f"holds an array of shape (3, 1) and dtype {TARGET_ROW}, "),
         ],
-        ids=["convert_float", "convert_int", "convert_first", "short", "short_first", "long"],
+        ids=["csv_text", "empty", "bytes_past_array", "float_table", "sample_id_field", "big_endian",
+             "missing_record", "extra_record", "2d"],
     )
-    def test_targets_numpy_message_forms_name_the_line(self, rng, tmp_path, at, row, reason):
-        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "g")
-        path = tmp_path / "g_targets.csv"
-        lines = path.read_text().splitlines()
-        lines[1 + at : 2 + at] = ["", row]
-        path.write_text("\n".join([*lines, ""]))
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: malformed row at line {at + 3}: {reason}") + "$"):
-            load_dataset(tmp_path / "g")
+    def test_invalid_targets_file_names_file(self, rng, tmp_path, capsys, write, found):
+        save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "i")
+        path = tmp_path / "i_targets.npy"
+        records = np.load(path)
+        with open(path, "wb") as fh:
+            write(fh, records)
+        if found.startswith("holds"):  # every layout or count but the one written is rejected the same way
+            found += f"expected 3 records of {TARGET_ROW}, one per sample"
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {found}")):
+            load_dataset(tmp_path / "i")
+        assert main(["train", "--dataset", str(tmp_path / "i"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {found}")
+
+    def test_old_targets_csv_is_not_read(self, rng, tmp_path, capsys):
+        # earlier versions wrote `<prefix>_targets.csv`; the dataset must be written again
+        ds = tiny_dataset(rng, n_samples=2)
+        save_dataset(ds, tmp_path / "o")
+        (tmp_path / "o_targets.npy").unlink()
+        rows = [f"{i},{s.e2_ts},{s.e3_ts},{s.target!r}\r\n" for i, s in enumerate(ds.samples)]
+        (tmp_path / "o_targets.csv").write_text("sample_id,e2_ts,e3_ts,target\r\n" + "".join(rows))
+        assert main(["train", "--dataset", str(tmp_path / "o"), "--out", str(tmp_path / "m.txt")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'o_targets.npy'}'\n"
+        )
 
 
 class TestDatasetInvariants:

@@ -248,6 +248,10 @@ class TestRunExperiment:
         assert diag["emitted" if "emitted" in diag else "sequences"] >= 1
         assert diag["eligible_crossovers"] == diag["sequences"] + diag["no_retracement"]
         assert manifest["config"]["training"]["max_epochs"] == 4
+        # the replay's bits depend on the BLAS build as well as on its name
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["environment"] == {"numpy": np.__version__, "blas": blas["name"],
+                                           "blas_version": blas["version"]}
 
     def test_persistence_reported(self, tmp_path):
         cfg = fast_config(tmp_path)
@@ -576,9 +580,9 @@ class TestCli:
         header = (tmp_path / "e.csv").read_text().splitlines()[0]
         assert header == "kind,index,timestamp,price,direction"
         assert re.fullmatch(rf"wrote \d+ samples \(\d+ skipped\) to {re.escape(str(tmp_path))}/ds_windows\.npy / "
-                            rf"{re.escape(str(tmp_path))}/ds_targets\.csv\n", capsys.readouterr().out)
+                            rf"{re.escape(str(tmp_path))}/ds_targets\.npy\n", capsys.readouterr().out)
         assert (tmp_path / "ds_windows.npy").exists()
-        assert (tmp_path / "ds_targets.csv").exists()
+        assert (tmp_path / "ds_targets.npy").exists()
 
     def test_events_retracement_rows(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"

@@ -267,7 +267,7 @@ class TestLoadCsv:
 # reads it as the row loop does; either way load_csv must give what the row
 # loop gives.
 LINE_EDITS = ("blank", "spaces", "comment", "plus", "pad", "underscore", "dot_zero", "quote", "extra", "nan",
-              "infinity", "iso")
+              "infinity", "iso", "oversized")
 
 
 def edit_line(line, edit, draw):
@@ -300,6 +300,8 @@ def edit_line(line, edit, draw):
     elif edit == "iso":
         epoch = draw(st.integers(0, 4_102_444_800))
         fields[0] = datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    elif edit == "oversized":  # 20 digits, past int64 either way
+        fields[0] = draw(st.sampled_from(["", "-"])) + str(draw(st.integers(10**19, 10**20 - 1)))
     return [",".join(fields)]
 
 
@@ -402,12 +404,19 @@ class TestTimestampReads:
         assert got.startswith(f"{tmp_path / 'series.csv'}: {error.format(self.LATE + 4)}")
 
     def test_oversized_late_timestamp_keeps_its_message(self, tmp_path, epoch_lines):
-        # int() reads it but no int64 holds it; the row loop ends in an OverflowError, so only the message is checked
-        path = write(tmp_path, "\n".join(self.edited(epoch_lines, self.LATE, 0, "99999999999999999999")) + "\n")
+        # int() reads it but no int64 holds it: the row loop names the line, and README gives numpy's reason
+        lines = self.edited(epoch_lines, self.LATE, 0, "99999999999999999999")
+        path = tmp_path / "series.csv"
+        assert self.outcome(tmp_path, lines) == f"{path}: malformed row at line {self.LATE + 2}"
         message = (f"{path}: malformed row at line {self.LATE + 2}: could not convert string "
                    "'99999999999999999999' to int64, column 1.")
         with pytest.raises(DataError, match=re.escape(message) + "$"):
             load_csv(path, "X")
+
+    @pytest.mark.parametrize("ts", ["99999999999999999999", "-99999999999999999999"])
+    def test_oversized_timestamp_after_an_iso_row_names_its_line(self, tmp_path, epoch_lines, ts):
+        lines = self.edited(self.with_iso_row(epoch_lines, self.LATE), self.LATE + 2, 0, ts)
+        assert self.outcome(tmp_path, lines) == f"{tmp_path / 'series.csv'}: malformed row at line {self.LATE + 4}"
 
 
 class TestSyntheticSeries:

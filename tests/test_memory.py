@@ -126,7 +126,7 @@ def test_build_samples_windows_are_read_only_views(features20k, samples20k):
         assert not s.window.flags.writeable
 
 
-# on the walk (342 windows of 30 x 28): save 0.04x, load 1.07x; the text pair read 0.06x and 1.25x
+# on the walk (342 windows of 30 x 28): save 0.02x, load 1.06x
 def test_save_dataset_streams_its_windows(features20k, samples20k, tmp_path):
     ds = Dataset(tuple(samples20k), 30, "train", feature_names=features20k.columns)
     block = ds.windows().nbytes
