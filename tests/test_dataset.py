@@ -339,6 +339,8 @@ class TestSerialization:
     @pytest.mark.parametrize("name, line, value, message", [
         ("windows", 3, "nan", "non-finite value in sample 0 at timestep 1, feature f2"),
         ("targets", 2, "inf", "non-finite target in sample 0"),
+        ("targets", 4, "-inf", "non-finite target in sample 2"),
+        ("targets", 3, "nan", "non-finite target in sample 1"),
         # a target is a close: a negative one would score a negative MAPE, a zero one an undefined MAPE
         ("targets", 3, "-1.1", "non-positive target in sample 1"),
         ("targets", 3, "0.0", "non-positive target in sample 1"),
@@ -371,6 +373,15 @@ class TestSerialization:
                              feature_names=("a", "b", "c")), tmp_path / "n")
         message = f"{tmp_path / 'n_windows.npy'}: non-finite value in sample 1 at timestep 2, feature b"
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            load_dataset(tmp_path / "n")
+
+    def test_first_bad_target_is_the_one_named(self, rng, tmp_path):
+        save_dataset(tiny_dataset(rng, n_samples=4), tmp_path / "n")
+        path = tmp_path / "n_targets.npy"
+        records = np.load(path)
+        records["target"][1:] = [-1.0, np.nan, 0.0]  # a later non-finite or zero one is not the one reported
+        np.save(path, records)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: non-positive target in sample 1") + "$"):
             load_dataset(tmp_path / "n")
 
     @pytest.mark.parametrize("cut", ["row", "field", "last"])
@@ -500,9 +511,22 @@ class TestSerialization:
             (lambda fh, r: np.save(fh, np.concatenate([r, r[-1:]])),
              f"holds an array of shape (4,) and dtype {TARGET_ROW}, "),
             (lambda fh, r: np.save(fh, r.reshape(3, 1)), f"holds an array of shape (3, 1) and dtype {TARGET_ROW}, "),
+            (lambda fh, r: fh.write(b"\x93NUMPY\x01\x00\x76\x00{'descr': "),
+             "not a targets file (EOF: reading array header, expected 118 bytes got 10)"),
+            (lambda fh, r: np.save(fh, np.array([(1000, 2000, None)], dtype=object)),
+             "not a targets file (Object arrays cannot be loaded when allow_pickle=False)"),
+            (lambda fh, r: pickle.dump(r, fh), "not a targets file (the magic string is not correct"),
+            (lambda fh, r: np.save(fh, r.astype([("e2_ts", "<i8"), ("e3_ts", "<i8"), ("target", "<i8")])),
+             "holds an array of shape (3,) and dtype [('e2_ts', '<i8'), ('e3_ts', '<i8'), ('target', '<i8')], "),
+            (lambda fh, r: np.save(fh, r.astype(np.dtype({"names": list(TARGET_ROW.names),
+                                                           "formats": ["<i8", "<i8", "<f8"], "itemsize": 32}))),
+             "holds an array of shape (3,) and dtype {'names': ['e2_ts', 'e3_ts', 'target'], "
+             "'formats': ['<i8', '<i8', '<f8'], 'offsets': [0, 8, 16], 'itemsize': 32}, "),
+            (lambda fh, r: np.save(fh, r[0]), f"holds an array of shape () and dtype {TARGET_ROW}, "),
         ],
         ids=["csv_text", "empty", "bytes_past_array", "float_table", "sample_id_field", "big_endian",
-             "missing_record", "extra_record", "2d"],
+             "missing_record", "extra_record", "2d", "short_header", "object", "pickle", "int_target", "padded",
+             "scalar"],
     )
     def test_invalid_targets_file_names_file(self, rng, tmp_path, capsys, write, found):
         save_dataset(tiny_dataset(rng, n_samples=3), tmp_path / "i")
