@@ -68,18 +68,21 @@ def clip_global_norm(params: list[Param], max_norm: float) -> float:
     return total
 
 
-# 1.0 as a 0-d array for the per-step ufunc calls: a Python float operand is
-# converted again on every call, about 0.5 us each, which shows at batch size 1
+# 1.0 as a 0-d array for the recurrence steps, which allocate nothing: a Python
+# float operand is converted again on every call, about 0.5 us each at batch size 1
 ONE = np.array(1.0)
 ONE.setflags(write=False)
 
 
 def sigmoid_(a: np.ndarray) -> np.ndarray:
-    """a = 1 / (1 + exp(-a)) in place. Callers silence exp's overflow (a < -709): its limit 0.0 is right."""
-    np.negative(a, out=a)
-    np.exp(a, out=a)
-    a += ONE
-    return np.divide(ONE, a, out=a)
+    """a = 1 / (1 + exp(-a)) in place, outputs passed positionally as each recurrence step's are.
+
+    Callers silence exp's overflow (a < -709): its limit 0.0 is right.
+    """
+    np.negative(a, a)
+    np.exp(a, a)
+    np.add(a, ONE, a)
+    return np.divide(ONE, a, a)
 
 
 def mse_loss(pred, target) -> tuple[float, np.ndarray]:

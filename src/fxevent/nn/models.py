@@ -7,13 +7,17 @@ concatenated-input form is realized as x @ W + h_prev @ U + b.
 Layers run on time-major (time, batch, features) float64 arrays, so every
 per-step slice is a contiguous view; the model takes and returns batch-major
 windows. A forward pass computes x @ W for all timesteps in one matmul into a
-(T, B, G*H) buffer, and each step adds its h @ U term and turns its slice into
-gate activations in place, the whole loop under one np.errstate for the
-sigmoid's exp overflow. The backward pass overwrites that buffer with the gate
-pre-activation gradients, one @ U.T per step for the carry, then accumulates
-the W, U and b gradients and the input gradient with one matmul each. The
-dense head reads the final hidden state of the top layer; for bidirectional
-stacks, the forward direction's last state then the backward direction's.
+(T, B, G*H) buffer, whose slices the steps turn into gate activations in place,
+the whole loop under one np.errstate for the sigmoid's exp overflow. No forward
+step allocates: the h @ U product and the other per-step scratch live in buffers
+taken once per sequence, the gate views are sliced once over the whole buffer,
+and the ufuncs, bound to locals, take their outputs positionally (an `out=`
+keyword costs about 0.1 us a call, which shows at batch size 1). The backward
+pass overwrites that buffer with the gate pre-activation gradients, one @ U.T
+per step for the carry, then accumulates the W, U and b gradients and the input
+gradient with one matmul each. The dense head reads the final hidden state of
+the top layer; for bidirectional stacks, the forward direction's last state then
+the backward direction's.
 
 Each per-sequence array a layer fills views the front of a flat buffer that
 the layer keeps and grows when a larger batch comes, so any batch size reuses
@@ -200,11 +204,12 @@ class RNNLayer(_FusedCell):
 
     def forward(self, x):
         hs = self._project(x)  # turned into the hidden states step by step
-        U = self.U.value
+        U, rec = self.U.value, _view(self._bufs, "rec", hs.shape[1:])
+        matmul, add, tanh = np.matmul, np.add, np.tanh
         for t, h in enumerate(hs):
             if t:
-                h += h_prev @ U
-            np.tanh(h, out=h)
+                add(h, matmul(h_prev, U, rec), h)
+            tanh(h, h)
             h_prev = h
         self._cache = (x, hs)
         return hs
@@ -240,21 +245,22 @@ class LSTMLayer(_FusedCell):
         U = self.U.value
         Cs = _view(self._bufs, "Cs", (T, B, H))
         hs = _view(self._bufs, "hs", (T, B, H))
+        rec, fC = _view(self._bufs, "rec", A.shape[1:]), _view(self._bufs, "fC", (B, H))
+        matmul, multiply, add, tanh = np.matmul, np.multiply, np.add, np.tanh
+        steps = zip(A, A[..., :H], A[..., H : 2 * H], A[..., 2 * H : 3 * H], A[..., 3 * H :], Cs, hs)
         with np.errstate(over="ignore"):  # sigmoid_'s exp overflow
-            for t, (a, C, h) in enumerate(zip(A, Cs, hs)):
+            for t, (a, f, i, c, o, C, h) in enumerate(steps):
                 if t:
-                    a += h_prev @ U
-                f, i, c, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+                    add(a, matmul(h_prev, U, rec), a)
                 # one sigmoid over the contiguous row is cheaper than one per column
                 # block, so the candidate's tanh is parked in C and put back
-                np.tanh(c, out=C)
+                tanh(c, C)
                 sigmoid_(a)
                 c[...] = C
-                C *= i
+                multiply(C, i, C)
                 if t:
-                    C += f * C_prev
-                np.tanh(C, out=h)
-                h *= o
+                    add(C, multiply(f, C_prev, fC), C)
+                multiply(tanh(C, h), o, h)
                 C_prev, h_prev = C, h
         self._cache = (x, A, Cs, hs)
         return hs
@@ -317,19 +323,22 @@ class GRULayer(_FusedCell):
         U_rz, U_h = self.U.value[:, : 2 * H], self.U.value[:, 2 * H :]
         hs = _view(self._bufs, "hs", (T, B, H))
         rhs = _view(self._bufs, "rhs", (T, B, H))  # r * h_{t-1}, the input of U_h
+        rec = _view(self._bufs, "rec", (B, 2 * H))
+        zh = _view(self._bufs, "zh", (B, H))  # rh @ U_h, then z * h_bar
+        matmul, multiply, add, subtract, tanh = np.matmul, np.multiply, np.add, np.subtract, np.tanh
+        steps = zip(A[..., : 2 * H], A[..., :H], A[..., H : 2 * H], A[..., 2 * H :], hs, rhs)
         h_prev = np.zeros((B, H))
         with np.errstate(over="ignore"):  # sigmoid_'s exp overflow
-            for t, (a, h, rh) in enumerate(zip(A, hs, rhs)):
-                rz, z, h_bar = a[:, : 2 * H], a[:, H : 2 * H], a[:, 2 * H :]
+            for t, (rz, r, z, h_bar, h, rh) in enumerate(steps):
                 if t:
-                    rz += h_prev @ U_rz
+                    add(rz, matmul(h_prev, U_rz, rec), rz)
                 sigmoid_(rz)
-                np.multiply(a[:, :H], h_prev, out=rh)
+                multiply(r, h_prev, rh)
                 if t:
-                    h_bar += rh @ U_h
-                np.tanh(h_bar, out=h_bar)
-                np.multiply(np.subtract(ONE, z, out=h), h_prev, out=h)
-                h += z * h_bar
+                    add(h_bar, matmul(rh, U_h, zh), h_bar)
+                tanh(h_bar, h_bar)
+                multiply(subtract(ONE, z, h), h_prev, h)
+                add(h, multiply(z, h_bar, zh), h)
                 h_prev = h
         self._cache = (x, A, rhs, hs)
         return hs
@@ -480,10 +489,9 @@ class RecurrentModel:
 def _forward_chunked(model: RecurrentModel, X: np.ndarray) -> np.ndarray:
     """forward_batch over consecutive INFERENCE_BATCH-window chunks, concatenated.
 
-    Equal bitwise to one whole-batch pass: OpenBLAS can round a row by its
-    position modulo 4 within a matmul, which chunks of 32 keep, and a lone row
-    would take numpy's matrix-vector path, so a 1-window remainder joins the
-    chunk before it.
+    Chunks of 32, with a 1-window remainder merged into the chunk before it (a
+    lone row would take numpy's matrix-vector path), reproduce one whole-batch
+    pass bitwise when both run on the same BLAS kernel and thread count.
     """
     starts = list(range(0, max(len(X) - 1, 1), INFERENCE_BATCH))
     ends = starts[1:] + [len(X)]

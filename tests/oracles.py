@@ -12,7 +12,8 @@ import numpy as np
 from fxevent.errors import DataError
 from fxevent.events import BEARISH, BULLISH, DOWN, TROUGH, UP, CrossEvent, EventSequence, SequenceDiagnostics
 from fxevent.market_data import make_series, parse_timestamp
-from fxevent.nn.core import Dense, Param, mse_loss, zero_grads
+from fxevent.nn.core import ONE, Dense, Param, mse_loss, zero_grads
+from fxevent.nn.models import _view
 
 
 def naive_sma(x, n):
@@ -722,6 +723,85 @@ class PerGateModel:
             dseq[:, -1] = dhead_in
         for layer in reversed(self.layers):
             dseq = layer.backward(dseq)
+
+
+# ---------------------------------------------------------------------------
+# The fused cells' forward step loops as they were before the steps stopped
+# allocating: `@` products, keyword outputs and gate slices cut every step.
+# Each takes a cell of fxevent.nn.models and a time-major (T, B, D) input,
+# fills the cell's buffers and cache as its forward does, and must give the
+# same bits.
+
+
+def _loop_sigmoid_(a):
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += ONE
+    return np.divide(ONE, a, out=a)
+
+
+def loop_rnn_forward(cell, x):
+    hs = cell._project(x)  # turned into the hidden states step by step
+    U = cell.U.value
+    for t, h in enumerate(hs):
+        if t:
+            h += h_prev @ U
+        np.tanh(h, out=h)
+        h_prev = h
+    cell._cache = (x, hs)
+    return hs
+
+
+def loop_lstm_forward(cell, x):
+    A = cell._project(x)  # pre-activations, then activations [f, i, c, o] in place
+    T, B, _ = A.shape
+    H = cell.hidden
+    U = cell.U.value
+    Cs = _view(cell._bufs, "Cs", (T, B, H))
+    hs = _view(cell._bufs, "hs", (T, B, H))
+    with np.errstate(over="ignore"):  # sigmoid_'s exp overflow
+        for t, (a, C, h) in enumerate(zip(A, Cs, hs)):
+            if t:
+                a += h_prev @ U
+            f, i, c, o = a[:, :H], a[:, H : 2 * H], a[:, 2 * H : 3 * H], a[:, 3 * H :]
+            # one sigmoid over the contiguous row is cheaper than one per column
+            # block, so the candidate's tanh is parked in C and put back
+            np.tanh(c, out=C)
+            _loop_sigmoid_(a)
+            c[...] = C
+            C *= i
+            if t:
+                C += f * C_prev
+            np.tanh(C, out=h)
+            h *= o
+            C_prev, h_prev = C, h
+    cell._cache = (x, A, Cs, hs)
+    return hs
+
+
+def loop_gru_forward(cell, x):
+    A = cell._project(x)  # pre-activations, then activations [r, z, h_bar] in place
+    T, B, _ = A.shape
+    H = cell.hidden
+    U_rz, U_h = cell.U.value[:, : 2 * H], cell.U.value[:, 2 * H :]
+    hs = _view(cell._bufs, "hs", (T, B, H))
+    rhs = _view(cell._bufs, "rhs", (T, B, H))  # r * h_{t-1}, the input of U_h
+    h_prev = np.zeros((B, H))
+    with np.errstate(over="ignore"):  # sigmoid_'s exp overflow
+        for t, (a, h, rh) in enumerate(zip(A, hs, rhs)):
+            rz, z, h_bar = a[:, : 2 * H], a[:, H : 2 * H], a[:, 2 * H :]
+            if t:
+                rz += h_prev @ U_rz
+            _loop_sigmoid_(rz)
+            np.multiply(a[:, :H], h_prev, out=rh)
+            if t:
+                h_bar += rh @ U_h
+            np.tanh(h_bar, out=h_bar)
+            np.multiply(np.subtract(ONE, z, out=h), h_prev, out=h)
+            h += z * h_bar
+            h_prev = h
+    cell._cache = (x, A, rhs, hs)
+    return hs
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The batched indicator and event kernels against the per-bar loops they replaced.
+"""The batched indicator and event kernels against the per-bar loops they replaced,
+and the recurrent cells' forward steps against the loops they replaced.
 
 Every comparison is bitwise: the same floats, the same events, the same tallies.
 """
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from fxevent.indicators import (
     williams_r,
 )
 from fxevent.market_data import CandleSeries
+from fxevent.nn.models import KINDS, BidirectionalLayer, ModelConfig, RecurrentModel
 
 from conftest import random_walk_series
 
@@ -177,3 +180,35 @@ def hand_built(draw):
 @given(case=hand_built())
 def test_assemble_equals_quadratic_on_hand_built_lists(case):
     assert assemble_sequences(*case) == oracles.quadratic_assemble_sequences(*case)
+
+
+LOOP_FORWARDS = {"rnn": oracles.loop_rnn_forward, "lstm": oracles.loop_lstm_forward, "gru": oracles.loop_gru_forward}
+
+
+def cells(model):
+    """Every cell of the stack, both directions of a bidirectional layer."""
+    for layer in model.layers:
+        yield from (layer.fwd, layer.bwd) if isinstance(layer, BidirectionalLayer) else (layer,)
+
+
+@pytest.mark.parametrize("T", [1, 7])
+@pytest.mark.parametrize("B", [1, 3, 33])
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_steps_equal_loops(kind, B, T):
+    config = ModelConfig(kind, T, seed=B + T)
+    model, reference = RecurrentModel(config), RecurrentModel(config)
+    for cell in cells(reference):
+        cell.forward = partial(LOOP_FORWARDS[config.cell], cell)
+    rng = np.random.default_rng(31 * B + T)
+    X = rng.normal(scale=3.0, size=(B, T, config.input_dim))
+    X[0, 0] = np.where(np.arange(config.input_dim) % 2, 2000.0, -2000.0)  # gates saturate, exp overflows
+    assert same_bits(model.forward_batch(X), reference.forward_batch(X))
+    for got, want in zip(cells(model), cells(reference)):
+        # the hidden states and the cache arrays backward reads (A, Cs, rhs)
+        assert len(got._cache) == len(want._cache)
+        assert all(same_bits(a, b) for a, b in zip(got._cache, want._cache))
+    dpred = rng.normal(size=B)
+    model.backward_batch(dpred)
+    reference.backward_batch(dpred)
+    for p, q in zip(model.params(), reference.params()):
+        assert same_bits(p.grad, q.grad), p.name
